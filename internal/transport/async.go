@@ -2,7 +2,7 @@ package transport
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 
 	"fdlsp/internal/sim"
 )
@@ -51,6 +51,7 @@ func (e *AsyncEnv) Send(to int, payload any) {
 	}
 	ep.nextSeq++
 	ep.pending[ep.nextSeq] = &outSeg{to: to, payload: payload, sentAt: e.sim.Clock()}
+	track(ep.outbound, to, ep.nextSeq, ep.pending)
 	ep.c.Segments++
 	if n := len(ep.pending); n > ep.c.MaxInFlight {
 		ep.c.MaxInFlight = n
@@ -111,14 +112,16 @@ func (e *AsyncEnv) Recv() (sim.Message, bool) {
 					}
 				}
 			}
-			if ep.seen[m.From] == nil {
-				ep.seen[m.From] = make(map[int64]bool)
+			seen := ep.seen[m.From]
+			if seen == nil {
+				seen = make(map[int64]struct{})
+				ep.seen[m.From] = seen
 			}
-			if ep.seen[m.From][p.Seq] {
+			if _, dup := seen[p.Seq]; dup {
 				ep.c.DupDropped++
 				continue
 			}
-			ep.seen[m.From][p.Seq] = true
+			seen[p.Seq] = struct{}{}
 			return sim.Message{From: m.From, To: m.To, When: m.When, Payload: p.Payload}, true
 		case retrans:
 			s, live := ep.pending[p.Seq]
@@ -130,6 +133,9 @@ func (e *AsyncEnv) Recv() (sim.Message, bool) {
 				continue
 			}
 			s.retries++
+			if s.retries == 1 {
+				ep.retrying[s.to] = append(ep.retrying[s.to], p.Seq)
+			}
 			s.retried = true
 			ep.c.Retries++
 			e.sim.Send(s.to, seg{Seq: p.Seq, Round: -1, Payload: s.payload, Heard: ep.heardList(e.sim.Clock(), s.to)})
@@ -142,17 +148,19 @@ func (e *AsyncEnv) Recv() (sim.Message, bool) {
 			// every segment in flight across our own outage needs a fresh
 			// timer (and a fresh retry budget) or it would hang forever.
 			if _, restarted := m.Payload.(sim.NodeRestarted); restarted {
-				seqs := make([]int64, 0, len(ep.pending))
+				seqs := ep.seqs[:0]
 				for q := range ep.pending {
 					seqs = append(seqs, q)
 				}
-				sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+				slices.Sort(seqs)
+				ep.seqs = seqs
 				for _, q := range seqs {
 					s := ep.pending[q]
 					s.retries = 0
 					s.retried = true
 					e.sim.SetTimer(ep.rtoFor(s.to), retrans{Seq: q})
 				}
+				clear(ep.retrying)
 			}
 			return m, true
 		}
@@ -169,14 +177,18 @@ func (e *AsyncEnv) heard(peer int) {
 
 // vouchFor applies liveness evidence for a peer: reset retry budgets of its
 // in-flight segments and rescind an earlier give-up with a PeerUp notice.
+// As in Sync.vouch, only the peer's retried segments are visited.
 func (e *AsyncEnv) vouchFor(peer int) {
 	ep := e.ep
-	for _, s := range ep.pending {
-		if s.to == peer && s.retries > 0 {
-			s.retries = 0
-			s.retried = true
-			ep.c.Vouched++
+	if seqs := ep.retrying[peer]; len(seqs) > 0 {
+		for _, q := range seqs {
+			if s := ep.pending[q]; s != nil && s.retries > 0 {
+				s.retries = 0
+				s.retried = true
+				ep.c.Vouched++
+			}
 		}
+		ep.retrying[peer] = seqs[:0]
 	}
 	if ep.down[peer] {
 		delete(ep.down, peer)
@@ -196,12 +208,14 @@ func (e *AsyncEnv) giveUp(peer int) {
 	}
 	ep.down[peer] = true
 	ep.c.PeersDown++
-	for q, s := range ep.pending {
-		if s.to == peer {
+	for _, q := range ep.outbound[peer] {
+		if _, live := ep.pending[q]; live {
 			delete(ep.pending, q)
 			ep.c.GaveUp++
 		}
 	}
+	delete(ep.outbound, peer)
+	delete(ep.retrying, peer)
 	ep.notices = append(ep.notices,
 		sim.Message{From: peer, To: e.ID, When: e.sim.Clock(), Payload: PeerDown{Peer: peer}})
 	e.sim.Emit(sim.Event{Kind: sim.EventPeerDown, Time: e.sim.Clock(), From: e.ID, To: peer})
@@ -216,16 +230,21 @@ type outSeg struct {
 	retried bool  // ever retransmitted (Karn: no RTT sample then)
 }
 
-// asyncEndpoint is the per-node reliable-transport state.
+// asyncEndpoint is the per-node reliable-transport state. retrying and
+// outbound index pending by peer exactly as in Sync.
 type asyncEndpoint struct {
 	opt       Options
 	c         Counters
 	nextSeq   int64
 	pending   map[int64]*outSeg
-	seen      map[int]map[int64]bool
+	retrying  map[int][]int64
+	outbound  map[int][]int64
+	seqs      []int64 // scratch for the restart re-arm
+	seen      map[int]map[int64]struct{}
 	down      map[int]bool
 	rtt       map[int]*rttEstimator
 	lastHeard map[int]int64 // virtual time a frame last arrived from peer
+	neighbors []int         // sorted; the only peers ever heard from
 	notices   []sim.Message
 }
 
@@ -245,12 +264,14 @@ func (ep *asyncEndpoint) heardList(now int64, to int) []int {
 		return nil
 	}
 	var out []int
-	for q, at := range ep.lastHeard {
-		if q != to && now-at <= ep.opt.VouchWindow {
+	for _, q := range ep.neighbors {
+		if at, ok := ep.lastHeard[q]; ok && q != to && now-at <= ep.opt.VouchWindow {
+			if out == nil {
+				out = make([]int, 0, len(ep.lastHeard))
+			}
 			out = append(out, q)
 		}
 	}
-	sort.Ints(out)
 	return out
 }
 
@@ -294,10 +315,13 @@ func (a *Async) Run(senv *sim.AsyncEnv) {
 		a.ep = &asyncEndpoint{
 			opt:       a.opt,
 			pending:   make(map[int64]*outSeg),
-			seen:      make(map[int]map[int64]bool),
+			retrying:  make(map[int][]int64),
+			outbound:  make(map[int][]int64),
+			seen:      make(map[int]map[int64]struct{}),
 			down:      make(map[int]bool),
 			rtt:       make(map[int]*rttEstimator),
 			lastHeard: make(map[int]int64),
+			neighbors: senv.Neighbors,
 		}
 		for _, p := range a.preDown {
 			a.ep.down[p] = true

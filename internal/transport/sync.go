@@ -2,7 +2,7 @@ package transport
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 
 	"fdlsp/internal/sim"
 )
@@ -61,10 +61,17 @@ type Sync struct {
 	opt      Options
 	reliable bool
 
-	c         Counters
-	nextSeq   int64
-	pending   map[int64]*syncSeg
-	seen      map[int]map[int64]bool
+	c       Counters
+	nextSeq int64
+	pending map[int64]*syncSeg
+	// retrying and outbound index pending by peer so liveness evidence and
+	// give-ups touch one peer's segments, not everything in flight. Both
+	// hold seqs and may hold stale ones (acked, abandoned or reset since),
+	// which are skipped by looking the seq up in pending.
+	retrying  map[int][]int64 // seqs whose retries went 0→1 since the last vouch
+	outbound  map[int][]int64 // seqs sent to the peer, ascending; compacted by track
+	seqs      []int64         // per-round scratch for the retransmit scan
+	seen      map[int]map[int64]struct{}
 	down      map[int]bool
 	rtt       map[int]*rttEstimator
 	lastHeard map[int]int   // physical round a frame last arrived from peer
@@ -89,7 +96,9 @@ func NewSync(proto SyncProto, opt *Options) *Sync {
 		w.reliable = true
 		w.opt = opt.withDefaults()
 		w.pending = make(map[int64]*syncSeg)
-		w.seen = make(map[int]map[int64]bool)
+		w.retrying = make(map[int][]int64)
+		w.outbound = make(map[int][]int64)
+		w.seen = make(map[int]map[int64]struct{})
 		w.down = make(map[int]bool)
 		w.rtt = make(map[int]*rttEstimator)
 		w.lastHeard = make(map[int]int)
@@ -138,14 +147,21 @@ func (w *Sync) heard(env *sim.SyncEnv, peer int) {
 
 // vouch applies liveness evidence for a peer: reset retry budgets of its
 // in-flight segments and rescind an earlier give-up with a PeerUp notice.
+// Only segments that were retransmitted since the last reset carry a budget
+// to reset, and retrying lists exactly those (plus stale seqs), so a vouch
+// costs O(retried segments to peer). Each reset is independent of the
+// others, so visiting them in list order leaves the same state as any order.
 func (w *Sync) vouch(env *sim.SyncEnv, peer int) {
-	for _, s := range w.pending {
-		if s.to == peer && s.retries > 0 {
-			s.retries = 0
-			s.retried = true // budget reset, but Karn still bars sampling
-			s.due = env.Round + int(w.rtoFor(peer))
-			w.c.Vouched++
+	if seqs := w.retrying[peer]; len(seqs) > 0 {
+		for _, q := range seqs {
+			if s := w.pending[q]; s != nil && s.retries > 0 {
+				s.retries = 0
+				s.retried = true // budget reset, but Karn still bars sampling
+				s.due = env.Round + int(w.rtoFor(peer))
+				w.c.Vouched++
+			}
 		}
+		w.retrying[peer] = seqs[:0]
 	}
 	if w.down[peer] {
 		delete(w.down, peer)
@@ -156,20 +172,23 @@ func (w *Sync) vouch(env *sim.SyncEnv, peer int) {
 }
 
 // heardList builds the gossip vouch list for a frame to "to": peers heard
-// from within VouchWindow, sorted, excluding the destination itself. The
-// slice is freshly allocated per frame — payloads never alias endpoint
-// state.
+// from within VouchWindow, sorted, excluding the destination itself. Only
+// neighbors are ever heard from, so walking the sorted neighbor list yields
+// the list in order. The slice is freshly allocated per frame — payloads
+// never alias endpoint state.
 func (w *Sync) heardList(env *sim.SyncEnv, to int) []int {
 	if w.opt.VouchWindow < 0 || len(w.lastHeard) == 0 {
 		return nil
 	}
 	var out []int
-	for q, at := range w.lastHeard {
-		if q != to && int64(env.Round-at) <= w.opt.VouchWindow {
+	for _, q := range env.Neighbors {
+		if at, ok := w.lastHeard[q]; ok && q != to && int64(env.Round-at) <= w.opt.VouchWindow {
+			if out == nil {
+				out = make([]int, 0, len(w.lastHeard))
+			}
 			out = append(out, q)
 		}
 	}
-	sort.Ints(out)
 	return out
 }
 
@@ -245,14 +264,16 @@ func (w *Sync) Step(env *sim.SyncEnv, inbox []sim.Message) bool {
 					}
 				}
 			}
-			if w.seen[m.From] == nil {
-				w.seen[m.From] = make(map[int64]bool)
+			seen := w.seen[m.From]
+			if seen == nil {
+				seen = make(map[int64]struct{})
+				w.seen[m.From] = seen
 			}
-			if w.seen[m.From][p.Seq] {
+			if _, dup := seen[p.Seq]; dup {
 				w.c.DupDropped++
 				continue
 			}
-			w.seen[m.From][p.Seq] = true
+			seen[p.Seq] = struct{}{}
 			w.buffer = append(w.buffer, sim.Message{From: m.From, To: env.ID, Payload: p.Payload})
 		default:
 			// Driver and engine injections (From == -1) bypass peer
@@ -265,6 +286,7 @@ func (w *Sync) Step(env *sim.SyncEnv, inbox []sim.Message) bool {
 					s.retried = true
 					s.due = env.Round + int(w.rtoFor(s.to))
 				}
+				clear(w.retrying)
 			}
 			w.buffer = append(w.buffer, m)
 		}
@@ -273,11 +295,12 @@ func (w *Sync) Step(env *sim.SyncEnv, inbox []sim.Message) bool {
 	// Retransmit due segments in sequence order (deterministic), giving up
 	// on peers that exhausted their retry budget.
 	if len(w.pending) > 0 {
-		seqs := make([]int64, 0, len(w.pending))
+		seqs := w.seqs[:0]
 		for q := range w.pending {
 			seqs = append(seqs, q)
 		}
-		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+		slices.Sort(seqs)
+		w.seqs = seqs
 		for _, q := range seqs {
 			s, live := w.pending[q]
 			if !live || env.Round < s.due {
@@ -288,6 +311,9 @@ func (w *Sync) Step(env *sim.SyncEnv, inbox []sim.Message) bool {
 				continue
 			}
 			s.retries++
+			if s.retries == 1 {
+				w.retrying[s.to] = append(w.retrying[s.to], q)
+			}
 			s.retried = true
 			w.c.Retries++
 			env.Send(s.to, seg{Seq: q, Round: s.round, Payload: s.payload, Heard: w.heardList(env, s.to)})
@@ -328,6 +354,7 @@ func (w *Sync) sendSeg(env *sim.SyncEnv, to int, payload any) {
 		to: to, payload: payload, round: int64(w.logical),
 		due: env.Round + int(w.rtoFor(to)), sentAt: env.Round,
 	}
+	track(w.outbound, to, w.nextSeq, w.pending)
 	w.c.Segments++
 	if n := len(w.pending); n > w.c.MaxInFlight {
 		w.c.MaxInFlight = n
@@ -343,12 +370,14 @@ func (w *Sync) giveUp(env *sim.SyncEnv, peer int) {
 	}
 	w.down[peer] = true
 	w.c.PeersDown++
-	for q, s := range w.pending {
-		if s.to == peer {
+	for _, q := range w.outbound[peer] {
+		if _, live := w.pending[q]; live {
 			delete(w.pending, q)
 			w.c.GaveUp++
 		}
 	}
+	delete(w.outbound, peer)
+	delete(w.retrying, peer)
 	w.buffer = append(w.buffer, sim.Message{From: peer, To: env.ID, Payload: PeerDown{Peer: peer}})
 	w.events = append(w.events, sim.Event{Kind: sim.EventPeerDown, Time: int64(env.Round), From: env.ID, To: peer})
 }

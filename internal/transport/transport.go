@@ -29,7 +29,10 @@
 // experiment in internal/expt).
 package transport
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // NoRetries is the MaxRetries sentinel for "send once, never retransmit":
 // an unacknowledged segment is abandoned at its first timeout. A literal 0
@@ -211,4 +214,23 @@ func (t Totals) String() string {
 	return fmt.Sprintf("segs=%d retries=%d gaveup=%d dups=%d acks=%d maxinflight=%d peersdown=%d peersup=%d rtts=%d vouched=%d",
 		t.Segments, t.Retries, t.GaveUp, t.DupDropped, t.Acks, t.MaxInFlight, t.PeersDown,
 		t.PeersUp, t.RTTSamples, t.Vouched)
+}
+
+// track appends seq to peer's outbound index. A full list is first
+// compacted to the seqs still in pending — the rest were acknowledged — and
+// left with room for as many appends as it keeps, so a send costs amortized
+// O(1) lookups and the list stays within about twice the peer's in-flight
+// count.
+func track[S any](outbound map[int][]int64, peer int, seq int64, pending map[int64]*S) {
+	out := outbound[peer]
+	if len(out) == cap(out) {
+		live := out[:0]
+		for _, q := range out {
+			if pending[q] != nil {
+				live = append(live, q)
+			}
+		}
+		out = slices.Grow(live, len(live)+1)
+	}
+	outbound[peer] = append(out, seq)
 }
