@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"fdlsp/internal/graph"
 	"fdlsp/internal/obs"
@@ -27,22 +29,25 @@ type AsyncNode interface {
 type DelayFn func(from, to int, rng *rand.Rand) int64
 
 // AsyncEnv is the per-node handle on the asynchronous engine. Only the
-// owning goroutine may use it, and the engine's scheduler guarantees at most
-// one node goroutine runs at any instant (see AsyncEngine).
+// owning goroutine may use it, and the engine guarantees at most one node
+// goroutine runs at any instant (see AsyncEngine).
 type AsyncEnv struct {
 	ID        int
-	Neighbors []int
-	Rand      *rand.Rand
+	Neighbors []int // sorted
+	// Rand is the node's private generator, seeded on its first draw.
+	Rand *rand.Rand
 
 	engine    *AsyncEngine
 	wake      chan wakeEvt
 	clock     int64
 	shutdown  bool
 	delayRand *rand.Rand // feeds DelayFn only; see DelayFn
+	rng       lazySource // backs Rand
+	delayRng  lazySource // backs delayRand
 }
 
-// wakeEvt is the scheduler's handoff to a node goroutine: a delivery, or a
-// shutdown notice (ok=false).
+// wakeEvt hands control to a node goroutine parked in Recv: a delivery, or
+// a shutdown notice (ok=false).
 type wakeEvt struct {
 	m  Message
 	ok bool
@@ -58,7 +63,7 @@ func (e *AsyncEnv) Clock() int64 { return e.clock }
 // and dropped at delivery time, mirroring a transceiver switched off.
 func (e *AsyncEnv) Send(to int, payload any) {
 	eng := e.engine
-	if !eng.g.HasEdge(e.ID, to) {
+	if _, ok := slices.BinarySearch(e.Neighbors, to); !ok {
 		panic(fmt.Sprintf("sim: node %d sending to non-neighbor %d", e.ID, to))
 	}
 	when := e.clock + 1
@@ -122,8 +127,11 @@ func (e *AsyncEnv) Recv() (Message, bool) {
 		return Message{}, false
 	}
 	eng := e.engine
-	eng.sched <- schedSignal{node: e.ID}
-	evt := <-e.wake
+	eng.idle[e.ID] = true
+	evt, toSelf := eng.pass(e.ID)
+	if !toSelf {
+		evt = <-e.wake
+	}
 	if !evt.ok {
 		e.shutdown = true
 		return Message{}, false
@@ -147,13 +155,19 @@ func (e *AsyncEnv) Recv() (Message, bool) {
 func (e *AsyncEnv) FinishAll() { e.engine.stopped = true }
 
 // AsyncEngine runs one goroutine per node over the communication graph,
-// scheduled as a discrete-event simulation: a central scheduler delivers
-// events in (virtual time, send order) and runs exactly one node goroutine
-// at a time, handing control back and forth at Recv boundaries. Runs are
+// scheduled as a discrete-event simulation: events are delivered in
+// (virtual time, send order) and exactly one node goroutine runs at a time.
+// Control is a baton: the node that yields in Recv (or whose Run returns)
+// pops the next deliverable event itself and wakes its target directly, so a
+// delivery costs one goroutine switch, and none when the event is addressed
+// to the yielding node (timers, retransmissions). Only when the queue runs
+// dry does the baton return to the goroutine in Run, which launches the
+// nodes, shuts them down at quiescence and collects the result. Runs are
 // therefore fully deterministic per seed — schedules, message counts, the
 // virtual completion time, fault scripts, and trace order are all identical
 // regardless of GOMAXPROCS — while node code keeps the natural blocking
-// Recv-loop style of the asynchronous model.
+// Recv-loop style of the asynchronous model. An engine runs once; build a
+// new one per run.
 type AsyncEngine struct {
 	g     *graph.Graph
 	nodes []AsyncNode
@@ -177,22 +191,22 @@ type AsyncEngine struct {
 
 	queue     eventHeap
 	seq       int64
-	sched     chan schedSignal
+	baton     chan struct{} // hands control back to the goroutine in Run
+	launched  bool          // every node has started; yields pass the baton on
+	ran       bool          // an engine runs once
 	dead      []bool
+	idle      []bool // parked in Recv, waiting for a delivery
+	delivered int64
 	faultRand *rand.Rand
+	marks     []crashMark
+	markIdx   int
+	restarts  map[int]int
 	maxClock  int64
 	stopped   bool
 	stats     Stats
 	crashed   []int
 	returned  []int
 	err       error
-}
-
-// schedSignal is a node goroutine yielding control back to the scheduler:
-// it is now idle in Recv, or its Run returned (died).
-type schedSignal struct {
-	node int
-	died bool
 }
 
 // NewAsyncEngine builds an asynchronous engine over g; factory produces the
@@ -203,25 +217,26 @@ func NewAsyncEngine(g *graph.Graph, seed int64, factory func(id int) AsyncNode) 
 		nodes: make([]AsyncNode, g.N()),
 		envs:  make([]*AsyncEnv, g.N()),
 		dead:  make([]bool, g.N()),
-		sched: make(chan schedSignal),
+		idle:  make([]bool, g.N()),
+		baton: make(chan struct{}, 1),
 	}
 	for v := 0; v < g.N(); v++ {
 		eng.nodes[v] = factory(v)
-		eng.envs[v] = &AsyncEnv{
+		env := &AsyncEnv{
 			ID:        v,
 			Neighbors: g.Neighbors(v),
-			Rand:      rand.New(rand.NewSource(seed ^ int64(v)*0x5851F42D4C957F2D ^ 0x7C15F0B3)),
-			delayRand: rand.New(rand.NewSource(seed ^ int64(v)*0x5851F42D4C957F2D ^ 0x3C6EF372)),
 			engine:    eng,
 			wake:      make(chan wakeEvt, 1),
 		}
+		env.Rand = newLazyRand(&env.rng, seed^int64(v)*0x5851F42D4C957F2D^0x7C15F0B3)
+		env.delayRand = newLazyRand(&env.delayRng, seed^int64(v)*0x5851F42D4C957F2D^0x3C6EF372)
+		eng.envs[v] = env
 	}
 	return eng
 }
 
-// enqueue inserts a delivery event; callers run in scheduler-exclusive
-// context so the insertion sequence (the tie-break for equal times) is
-// deterministic.
+// enqueue inserts a delivery event; callers hold the baton, so the
+// insertion sequence (the tie-break for equal times) is deterministic.
 func (eng *AsyncEngine) enqueue(m Message, timer bool) {
 	eng.seq++
 	eng.queue.push(desEvent{m: m, seq: eng.seq, timer: timer})
@@ -249,7 +264,7 @@ func (eng *AsyncEngine) Returned() []int { return append([]int(nil), eng.returne
 
 // Emit forwards a protocol-layer trace event (e.g. transport peer-down /
 // peer-up) to the engine tracer. All node activity is serialized by the
-// scheduler, so direct emission keeps deterministic order here; the
+// baton, so direct emission keeps deterministic order here; the
 // synchronous engine instead drains EventSource queues after its round
 // barrier.
 func (e *AsyncEnv) Emit(ev Event) {
@@ -261,40 +276,24 @@ func (e *AsyncEnv) Emit(ev Event) {
 // Run executes the simulation and blocks until every node goroutine has
 // returned. If every live node is blocked in Recv with no event pending, the
 // engine declares quiescence and shuts the run down (so a protocol bug
-// cannot hang the caller).
+// cannot hang the caller). An engine runs once: a second Run returns an
+// error, since the first one consumed its queue and finished its nodes (a
+// Run rejected by FaultPlan.Validate does not count).
 func (eng *AsyncEngine) Run() error {
+	if eng.ran {
+		return errors.New("sim: AsyncEngine.Run called twice; build a new engine per run")
+	}
 	n := eng.g.N()
 	if err := eng.Fault.Validate(n); err != nil {
 		return err
 	}
-	eng.stats = Stats{}
-	eng.maxClock = 0
-	eng.crashed = nil
-	eng.err = nil
+	eng.ran = true
 	plan := eng.Fault
 	if plan != nil {
 		eng.faultRand = rand.New(rand.NewSource(plan.Seed ^ 0x6A09E667F3BCC909))
 	}
-	marks := plan.crashMarks()
-	markIdx := 0
-	eng.returned = nil
-	restarts := make(map[int]int)
-	emitMarks := func(upTo int64) {
-		for markIdx < len(marks) && marks[markIdx].at <= upTo {
-			mk := marks[markIdx]
-			markIdx++
-			kind := EventNodeCrash
-			if mk.restart {
-				kind = EventNodeRestart
-				noteReturn(&eng.returned, restarts, mk.node)
-			} else if plan.DeadBy(mk.node, mk.at) {
-				eng.crashed = append(eng.crashed, mk.node)
-			}
-			if eng.Trace != nil {
-				eng.Trace.Emit(Event{Kind: kind, Time: mk.at, From: mk.node, To: -1})
-			}
-		}
-	}
+	eng.marks = plan.crashMarks()
+	eng.restarts = make(map[int]int)
 	if plan != nil {
 		// Rejoin notices: nodes whose outage elapsed before this run get
 		// theirs at time zero; every in-run restart mark schedules one at the
@@ -302,14 +301,14 @@ func (eng *AsyncEngine) Run() error {
 		// generation number in mark order.
 		pending := make(map[int]int)
 		for _, v := range plan.Rejoins {
-			note := noteReturn(&eng.returned, restarts, v)
+			note := noteReturn(&eng.returned, eng.restarts, v)
 			pending[v] = note.Restarts
 			eng.enqueue(Message{From: -1, To: v, When: 0, Payload: note}, false)
 			if eng.Trace != nil {
 				eng.Trace.Emit(Event{Kind: EventNodeRestart, Time: 0, From: v, To: -1})
 			}
 		}
-		for _, mk := range marks {
+		for _, mk := range eng.marks {
 			if mk.restart {
 				pending[mk.node]++
 				eng.enqueue(Message{From: -1, To: mk.node, When: mk.at, Payload: NodeRestarted{Restarts: pending[mk.node]}}, false)
@@ -317,110 +316,137 @@ func (eng *AsyncEngine) Run() error {
 		}
 	}
 
-	idle := make([]bool, n)
-	alive := n
-
 	// Start the nodes one at a time: each runs exclusively until it first
-	// blocks in Recv (or returns), so startup sends are ordered by node id.
-	launch := func(v int) {
-		go func() {
-			func() {
-				defer func() {
-					if r := recover(); r != nil && eng.err == nil {
-						eng.err = fmt.Errorf("sim: node %d panicked: %v", v, r)
-					}
-				}()
-				//lint:ignore envowner ownership transfer: this goroutine IS node v's owner; the scheduler serializes it against all others
-				eng.nodes[v].Run(eng.envs[v])
-			}()
-			if eng.Trace != nil {
-				eng.Trace.Emit(Event{Kind: EventNodeDone, Time: eng.envs[v].clock, From: v, To: -1})
-			}
-			eng.sched <- schedSignal{node: v, died: true}
-		}()
-	}
-	waitYield := func() {
-		sig := <-eng.sched
-		if sig.died {
-			eng.dead[sig.node] = true
-			alive--
-		} else {
-			idle[sig.node] = true
-		}
-	}
+	// blocks in Recv (or returns) and hands the baton back here, so startup
+	// sends are ordered by node id.
 	for v := 0; v < n; v++ {
-		launch(v)
-		waitYield()
+		go eng.runNode(v)
+		<-eng.baton
 	}
 
-	var delivered int64
+	// From here on the baton passes from node to node and comes back only
+	// when the queue runs dry: quiescence (or FinishAll). Shut down the
+	// remaining nodes then, in id order; a tearing-down node may still send,
+	// in which case the new traffic is delivered before the next shutdown.
+	eng.launched = true
+	eng.pass(-1)
 	for {
-		// Deliver events in (virtual time, send order) until the queue runs
-		// dry. All live nodes are idle here, so each delivery hands exclusive
-		// control to one node and waits for it to yield.
-		for len(eng.queue) > 0 {
-			if eng.MaxEvents > 0 && delivered >= eng.MaxEvents {
-				if eng.err == nil {
-					eng.err = fmt.Errorf("sim: asynchronous run exceeded %d events", eng.MaxEvents)
-				}
-				eng.stopped = true
-				eng.queue = eng.queue[:0]
-				break
-			}
-			e := eng.queue.pop()
-			delivered++
-			emitMarks(e.m.When)
-			if e.timer && eng.stopped {
-				continue // alarms are moot once the run is over
-			}
-			if eng.dead[e.m.To] {
-				if !e.timer {
-					eng.stats.DroppedDead++
-					if eng.Trace != nil {
-						eng.Trace.Emit(Event{Kind: EventDropDead, Time: e.m.When, From: e.m.From, To: e.m.To, Payload: payloadName(e.m.Payload)})
-					}
-				}
-				continue
-			}
-			if plan.CrashedAt(e.m.To, e.m.When) {
-				if !e.timer {
-					eng.stats.DroppedFault++
-					if eng.Trace != nil {
-						eng.Trace.Emit(Event{Kind: EventDropFault, Time: e.m.When, From: e.m.From, To: e.m.To, Payload: payloadName(e.m.Payload)})
-					}
-				}
-				continue
-			}
-			idle[e.m.To] = false
-			eng.envs[e.m.To].wake <- wakeEvt{m: e.m, ok: true}
-			waitYield()
-		}
-
-		// Queue empty: quiescence (or FinishAll). Shut down the remaining
-		// nodes in id order; a tearing-down node may still send, in which
-		// case the new traffic is delivered before the next shutdown.
-		if alive == 0 {
-			break
-		}
-		v := -1
-		for u := 0; u < n; u++ {
-			if !eng.dead[u] && idle[u] {
-				v = u
-				break
-			}
-		}
+		<-eng.baton
+		v := slices.Index(eng.idle, true)
 		if v < 0 {
 			break
 		}
 		eng.stopped = true
-		idle[v] = false
+		eng.idle[v] = false
 		eng.envs[v].wake <- wakeEvt{ok: false}
-		waitYield()
 	}
-	emitMarks(eng.maxClock)
+	eng.emitMarks(eng.maxClock)
 	eng.stats.Rounds = eng.maxClock
 	publishStats(eng.Metrics, "async", eng.stats)
 	return eng.err
+}
+
+// runNode is node v's goroutine: its Run, then the baton passed on.
+func (eng *AsyncEngine) runNode(v int) {
+	func() {
+		defer func() {
+			if r := recover(); r != nil && eng.err == nil {
+				eng.err = fmt.Errorf("sim: node %d panicked: %v", v, r)
+			}
+		}()
+		eng.nodes[v].Run(eng.envs[v])
+	}()
+	if eng.Trace != nil {
+		eng.Trace.Emit(Event{Kind: EventNodeDone, Time: eng.envs[v].clock, From: v, To: -1})
+	}
+	eng.dead[v] = true
+	eng.pass(v)
+}
+
+// pass hands the baton on from the goroutine giving it up — node self
+// yielding in Recv or finishing, or Run (self=-1) starting delivery. It pops
+// the next deliverable event and wakes its target; an event for self is
+// returned instead (toSelf=true), so the caller keeps running with no
+// goroutine switch. While the nodes are still launching, or once the queue
+// runs dry, the baton goes back to Run.
+func (eng *AsyncEngine) pass(self int) (evt wakeEvt, toSelf bool) {
+	e, ok := eng.next()
+	if !ok {
+		eng.baton <- struct{}{}
+		return wakeEvt{}, false
+	}
+	eng.idle[e.m.To] = false
+	if e.m.To == self {
+		return wakeEvt{m: e.m, ok: true}, true
+	}
+	eng.envs[e.m.To].wake <- wakeEvt{m: e.m, ok: true}
+	return wakeEvt{}, false
+}
+
+// next pops the next deliverable event in (virtual time, send order),
+// applying everything that happens between deliveries: the MaxEvents
+// budget, the crash marks up to the event's time, and the drops of moot
+// timers and of traffic to finished or crashed nodes. ok=false means there
+// is nothing to deliver: the nodes are still launching, or the queue ran
+// dry.
+func (eng *AsyncEngine) next() (desEvent, bool) {
+	if !eng.launched {
+		return desEvent{}, false
+	}
+	for len(eng.queue) > 0 {
+		if eng.MaxEvents > 0 && eng.delivered >= eng.MaxEvents {
+			if eng.err == nil {
+				eng.err = fmt.Errorf("sim: asynchronous run exceeded %d events", eng.MaxEvents)
+			}
+			eng.stopped = true
+			eng.queue = eng.queue[:0]
+			break
+		}
+		e := eng.queue.pop()
+		eng.delivered++
+		eng.emitMarks(e.m.When)
+		if e.timer && eng.stopped {
+			continue // alarms are moot once the run is over
+		}
+		if eng.dead[e.m.To] {
+			if !e.timer {
+				eng.stats.DroppedDead++
+				if eng.Trace != nil {
+					eng.Trace.Emit(Event{Kind: EventDropDead, Time: e.m.When, From: e.m.From, To: e.m.To, Payload: payloadName(e.m.Payload)})
+				}
+			}
+			continue
+		}
+		if eng.Fault.CrashedAt(e.m.To, e.m.When) {
+			if !e.timer {
+				eng.stats.DroppedFault++
+				if eng.Trace != nil {
+					eng.Trace.Emit(Event{Kind: EventDropFault, Time: e.m.When, From: e.m.From, To: e.m.To, Payload: payloadName(e.m.Payload)})
+				}
+			}
+			continue
+		}
+		return e, true
+	}
+	return desEvent{}, false
+}
+
+// emitMarks fires the crash and restart marks due by upTo, in mark order.
+func (eng *AsyncEngine) emitMarks(upTo int64) {
+	for eng.markIdx < len(eng.marks) && eng.marks[eng.markIdx].at <= upTo {
+		mk := eng.marks[eng.markIdx]
+		eng.markIdx++
+		kind := EventNodeCrash
+		if mk.restart {
+			kind = EventNodeRestart
+			noteReturn(&eng.returned, eng.restarts, mk.node)
+		} else if eng.Fault.DeadBy(mk.node, mk.at) {
+			eng.crashed = append(eng.crashed, mk.node)
+		}
+		if eng.Trace != nil {
+			eng.Trace.Emit(Event{Kind: kind, Time: mk.at, From: mk.node, To: -1})
+		}
+	}
 }
 
 // desEvent is one scheduled delivery in the discrete-event queue.

@@ -170,59 +170,6 @@ func TestAsyncFaultRunDeterministic(t *testing.T) {
 	}
 }
 
-func TestAsyncSetTimer(t *testing.T) {
-	g := graph.Path(2)
-	var fired int64
-	eng := NewAsyncEngine(g, 1, func(id int) AsyncNode {
-		return asyncFunc(func(env *AsyncEnv) {
-			if env.ID != 0 {
-				return
-			}
-			env.SetTimer(17, "alarm")
-			for {
-				m, ok := env.Recv()
-				if !ok {
-					return
-				}
-				if m.Payload == "alarm" && m.From == env.ID {
-					fired = m.When
-				}
-			}
-		})
-	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 17 {
-		t.Errorf("timer fired at %d, want 17", fired)
-	}
-	if st := eng.Stats(); st.Messages != 0 {
-		t.Errorf("timers must not count as messages: %+v", st)
-	}
-}
-
-func TestAsyncEventBudget(t *testing.T) {
-	g := graph.Path(2)
-	eng := NewAsyncEngine(g, 1, func(id int) AsyncNode {
-		return asyncFunc(func(env *AsyncEnv) {
-			if env.ID == 0 {
-				env.Send(1, "ping")
-			}
-			for {
-				m, ok := env.Recv()
-				if !ok {
-					return
-				}
-				env.Send(m.From, "pong") // rally forever
-			}
-		})
-	})
-	eng.MaxEvents = 100
-	if err := eng.Run(); err == nil {
-		t.Fatal("expected event-budget error for a never-ending rally")
-	}
-}
-
 func TestAsyncCrashWindowDropsDeliveries(t *testing.T) {
 	g := graph.Path(2)
 	var heard []int64

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -29,7 +30,9 @@ type SyncEnv struct {
 	ID        int
 	Round     int
 	Neighbors []int // sorted, fixed for the run
-	Rand      *rand.Rand
+	// Rand is the node's private generator. Its 607-word state is seeded on
+	// the first draw, so nodes that never draw in a phase cost no seeding.
+	Rand *rand.Rand
 	// Advance is the engine synchronizer's signal for RoundGate nodes: true
 	// when every gated node reported GateReady at the end of the previous
 	// round, i.e. the current logical round's traffic has fully settled and
@@ -39,6 +42,7 @@ type SyncEnv struct {
 
 	engine *SyncEngine
 	outbox []Message
+	rng    lazySource // backs Rand
 }
 
 // RoundGate is optionally implemented by SyncNodes that run a logical round
@@ -58,7 +62,7 @@ type RoundGate interface {
 // Send enqueues a message to neighbor "to" for delivery next round. Sending
 // to a non-neighbor panics: the model only has channels along edges.
 func (e *SyncEnv) Send(to int, payload any) {
-	if !e.engine.g.HasEdge(e.ID, to) {
+	if _, ok := slices.BinarySearch(e.Neighbors, to); !ok {
 		panic(fmt.Sprintf("sim: node %d sending to non-neighbor %d", e.ID, to))
 	}
 	e.outbox = append(e.outbox, Message{From: e.ID, To: to, Payload: payload})
@@ -164,80 +168,35 @@ func envSeed(seed int64, v int) int64 {
 	return seed ^ int64(v)*0x5851F42D4C957F2D ^ 0x5BF03635
 }
 
-// seedEnvs (re-)seeds every env's RNG, fanning the work out across workers
-// when the graph is large enough to amortize the goroutines: math/rand's
-// Seed initializes a 607-word feedback register per call, which profiles as
-// the single largest sequential cost of a multi-phase protocol run (DistMIS
-// re-seeds all n RNGs per phase). Each goroutine touches a disjoint range of
-// envs and the derived streams depend only on (seed, v), so the result is
-// byte-identical to the serial loop.
-func seedEnvs(envs []*SyncEnv, seed int64, workers int) {
-	seedRange := func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			s := envSeed(seed, v)
-			if envs[v].Rand == nil {
-				envs[v].Rand = rand.New(rand.NewSource(s))
-			} else {
-				// rand.Rand.Seed(s) restarts the exact stream
-				// rand.NewSource(s) starts, so re-seeded envs are
-				// byte-equivalent to freshly constructed ones.
-				envs[v].Rand.Seed(s)
-			}
-		}
-	}
-	const minParallelSeed = 128
-	if workers > len(envs) {
-		workers = len(envs)
-	}
-	if workers <= 1 || len(envs) < minParallelSeed {
-		seedRange(0, len(envs))
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (len(envs) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > len(envs) {
-			hi = len(envs)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			seedRange(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
 // NewSyncEngine builds an engine for graph g with one node per vertex,
 // produced by factory. Seed derives each node's private RNG (deterministic
 // runs for a fixed seed regardless of scheduling, since parallelism never
 // crosses node state). The factory is always called serially, in node
-// order; only the RNG seeding is parallelized.
+// order.
 func NewSyncEngine(g *graph.Graph, seed int64, factory func(id int) SyncNode) *SyncEngine {
 	eng := &SyncEngine{g: g, nodes: make([]SyncNode, g.N()), envs: make([]*SyncEnv, g.N())}
 	for v := 0; v < g.N(); v++ {
 		eng.nodes[v] = factory(v)
-		eng.envs[v] = &SyncEnv{
+		env := &SyncEnv{
 			ID:        v,
 			Neighbors: g.Neighbors(v),
 			engine:    eng,
 		}
+		env.Rand = newLazyRand(&env.rng, envSeed(seed, v))
+		eng.envs[v] = env
 	}
-	seedEnvs(eng.envs, seed, runtime.GOMAXPROCS(0))
 	return eng
 }
 
 // Reset re-arms the engine for a fresh run with new nodes and a new seed,
 // reusing the per-node environments and scratch buffers. Each env's RNG is
-// re-seeded exactly as NewSyncEngine would, so a Reset engine is
-// byte-for-byte equivalent to a freshly constructed one. MaxRounds, Trace,
-// Fault, Metrics and OnRound are cleared; callers set them again as needed.
-// Workers persists: it configures the engine, not one run. The factory is
-// called serially; the re-seeding shards across the worker budget.
+// re-seeded to the stream NewSyncEngine would start, so a Reset engine is
+// byte-for-byte equivalent to a freshly constructed one. Re-seeding only
+// records the seed (the generator's state is filled on the node's first
+// draw), so a phase in which no node draws initializes no RNG state at all.
+// MaxRounds, Trace, Fault, Metrics and OnRound are cleared; callers set them
+// again as needed. Workers persists: it configures the engine, not one run.
+// The factory is called serially.
 func (eng *SyncEngine) Reset(seed int64, factory func(id int) SyncNode) {
 	for v := range eng.nodes {
 		eng.nodes[v] = factory(v)
@@ -245,8 +204,10 @@ func (eng *SyncEngine) Reset(seed int64, factory func(id int) SyncNode) {
 		env.Round = 0
 		env.Advance = false
 		env.outbox = env.outbox[:0]
+		// rand.Rand.Seed also rewinds Read's buffered bytes, exactly as a
+		// freshly constructed generator starts.
+		env.Rand.Seed(envSeed(seed, v))
 	}
-	seedEnvs(eng.envs, seed, eng.workerCount())
 	eng.MaxRounds = 0
 	eng.Trace = nil
 	eng.Fault = nil
