@@ -345,10 +345,11 @@ func BenchmarkAblationRandomized(b *testing.B) {
 func BenchmarkDynamicRepair(b *testing.B) {
 	rng := rand.New(rand.NewSource(6))
 	g, _ := fdlsp.RandomUDG(150, 12, 1.3, rng)
-	net, err := fdlsp.NewDynamic(g, fdlsp.GreedySchedule(g))
+	up, err := fdlsp.NewIncremental(g, fdlsp.GreedySchedule(g))
 	if err != nil {
 		b.Fatal(err)
 	}
+	recolored := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		u, v := rng.Intn(150), rng.Intn(150)
@@ -356,16 +357,17 @@ func BenchmarkDynamicRepair(b *testing.B) {
 			continue
 		}
 		kind := fdlsp.EventLinkUp
-		if net.Graph().HasEdge(u, v) {
+		if up.Graph().HasEdge(u, v) {
 			kind = fdlsp.EventLinkDown
 		}
-		if err := net.Apply(fdlsp.TopologyEvent{Kind: kind, U: u, V: v}); err != nil {
+		rep, err := up.Apply([]fdlsp.TopologyEvent{{Kind: kind, U: u, V: v}})
+		if err != nil {
 			b.Fatal(err)
 		}
+		recolored += len(rep.Recolored)
 	}
-	if b.N > 0 {
-		st := net.Stats()
-		b.ReportMetric(float64(st.NewArcs+st.RecoloredArcs)/float64(st.Events), "arcs/event")
+	if up.Updates() > 0 {
+		b.ReportMetric(float64(recolored)/float64(up.Updates()), "arcs/event")
 	}
 }
 

@@ -60,25 +60,13 @@ func runChurn(out io.Writer, cf churnFlags) error {
 		if err != nil {
 			return err
 		}
-		churn := rep.Crashes + rep.Restarts + rep.Leaves + rep.Joins +
-			rep.Moves + rep.LinksUp + rep.LinksDown
-		sum.Epochs++
-		sum.TotalPerturbations += int64(churn)
-		if rep.ConvergenceRounds > sum.MaxConvergence {
-			sum.MaxConvergence = rep.ConvergenceRounds
-		}
-		sum.SumConvergence += int64(rep.ConvergenceRounds)
-		if rep.MinUsable < sum.MinUsable {
-			sum.MinUsable = rep.MinUsable
-		}
-		sum.FinalSlots, sum.FinalLive = rep.Slots, rep.Live
+		sum.Add(rep)
 		if (i+1)%every == 0 || i == cf.epochs-1 || rep.EngineProbe != nil {
 			fmt.Fprintf(out, "%6d %5d %6d %6d %6d %5d %11.3f %6d\n",
-				rep.Epoch, rep.Live, s.Graph().M(), churn,
+				rep.Epoch, rep.Live, s.Graph().M(), rep.Perturbations(),
 				rep.DirtyArcs, rep.ConvergenceRounds, rep.MinUsable, rep.Slots)
 		}
 		if pr := rep.EngineProbe; pr != nil {
-			sum.EngineProbes++
 			fmt.Fprintf(out, "       reschedule@%d: %d rounds, %d msgs, %d returned, converged@%d, %d slots\n",
 				pr.Epoch, pr.Rounds, pr.Messages, pr.Returned, pr.ConvergedAt, pr.Slots)
 		}

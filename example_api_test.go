@@ -68,12 +68,12 @@ func ExampleConflict() {
 	// false
 }
 
-// ExampleNewDynamic repairs a schedule after a link appears.
-func ExampleNewDynamic() {
+// ExampleNewIncremental repairs a schedule after a link appears.
+func ExampleNewIncremental() {
 	g := fdlsp.Path(4)
-	net, _ := fdlsp.NewDynamic(g, fdlsp.GreedySchedule(g))
-	_ = net.Apply(fdlsp.TopologyEvent{Kind: fdlsp.EventLinkUp, U: 0, V: 3})
-	fmt.Println("valid after repair:", fdlsp.Valid(net.Graph(), net.Assignment()))
+	up, _ := fdlsp.NewIncremental(g, fdlsp.GreedySchedule(g))
+	_, _ = up.Apply([]fdlsp.TopologyEvent{{Kind: fdlsp.EventLinkUp, U: 0, V: 3}})
+	fmt.Println("valid after repair:", fdlsp.Valid(up.Graph(), up.Assignment()))
 	// Output: valid after repair: true
 }
 

@@ -46,42 +46,42 @@ func main() {
 		fdlsp.BroadcastSlots(bc), fdlsp.BroadcastLinkServiceSlots(g, bc), res.Slots)
 
 	// Now the network lives: 300 random churn events with local repair.
-	net, err := fdlsp.NewDynamic(g, res.Assignment)
+	up, err := fdlsp.NewIncremental(g, res.Assignment)
 	if err != nil {
 		log.Fatal(err)
 	}
+	recolored := 0
 	for step := 0; step < 300; step++ {
 		u, v := rng.Intn(g.N()), rng.Intn(g.N())
 		if u == v {
 			continue
 		}
 		kind := fdlsp.EventLinkUp
-		if net.Graph().HasEdge(u, v) {
+		if up.Graph().HasEdge(u, v) {
 			kind = fdlsp.EventLinkDown
 		}
-		if err := net.Apply(fdlsp.TopologyEvent{Kind: kind, U: u, V: v}); err != nil {
+		rep, err := up.Apply([]fdlsp.TopologyEvent{{Kind: kind, U: u, V: v}})
+		if err != nil {
 			log.Fatal(err)
 		}
-		if !fdlsp.Valid(net.Graph(), net.Assignment()) {
+		recolored += len(rep.Recolored)
+		if !fdlsp.Valid(up.Graph(), up.Assignment()) {
 			log.Fatalf("schedule invalid after event %d", step)
 		}
 	}
-	st := net.Stats()
-	fmt.Printf("\nafter %d churn events:\n", st.Events)
-	fmt.Printf("  schedule still valid, frame drifted to %d slots\n", net.Slots())
-	fmt.Printf("  repair cost: %d new arcs, %d recolored, %.1f nodes touched/event\n",
-		st.NewArcs, st.RecoloredArcs, float64(st.TouchedNodes)/float64(st.Events))
-	rebuild := net.Rebuild()
+	events := up.Updates()
+	fmt.Printf("\nafter %d churn events:\n", events)
+	fmt.Printf("  schedule still valid, frame drifted to %d slots\n", up.Slots())
 	fmt.Printf("  full rebuild would recolor %d arcs per event (frame %d)\n",
-		2*net.Graph().M(), rebuild.NumColors())
-	perEvent := float64(st.NewArcs+st.RecoloredArcs) / float64(st.Events)
-	fmt.Printf("  incremental repair touches %.2f arcs/event — %.0fx cheaper\n",
-		perEvent, float64(2*net.Graph().M())/perEvent)
+		2*up.Graph().M(), fdlsp.GreedySchedule(up.Graph()).NumColors())
+	perEvent := float64(recolored) / float64(events)
+	fmt.Printf("  incremental repair recolors %.2f arcs/event — %.0fx cheaper\n",
+		perEvent, float64(2*up.Graph().M())/perEvent)
 
 	// A sensor dies; the schedule survives.
-	if err := net.Apply(fdlsp.TopologyEvent{Kind: fdlsp.EventNodeFail, U: 0}); err != nil {
+	if _, err := up.Apply([]fdlsp.TopologyEvent{{Kind: fdlsp.EventNodeFail, U: 0}}); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nsensor 0 failed: schedule valid=%v, %d slots\n",
-		fdlsp.Valid(net.Graph(), net.Assignment()), net.Slots())
+		fdlsp.Valid(up.Graph(), up.Assignment()), up.Slots())
 }

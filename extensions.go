@@ -36,15 +36,11 @@ func Randomized(g *Graph, seed int64) (*Result, error) { return core.Randomized(
 // Dynamic schedule maintenance -------------------------------------------------
 
 type (
-	// DynamicNetwork maintains a valid FDLSP schedule under topology churn
-	// with local repairs.
-	DynamicNetwork = dynamic.Network
-	// TopologyEvent is one churn event (link up/down, node join/fail/move).
+	// TopologyEvent is one churn event (link up/down, node join/fail/move);
+	// IncrementalUpdater.Apply takes batches of them.
 	TopologyEvent = dynamic.Event
 	// TopologyEventKind discriminates TopologyEvent.
 	TopologyEventKind = dynamic.EventKind
-	// RepairStats accumulates incremental-repair cost.
-	RepairStats = dynamic.RepairStats
 )
 
 // Topology event kinds.
@@ -55,9 +51,6 @@ const (
 	EventNodeJoin = dynamic.NodeJoin
 	EventNodeMove = dynamic.NodeMove
 )
-
-// NewDynamic wraps a valid schedule for incremental maintenance.
-func NewDynamic(g *Graph, as Assignment) (*DynamicNetwork, error) { return dynamic.New(g, as) }
 
 // Incremental rescheduling service ---------------------------------------------
 

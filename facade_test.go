@@ -29,19 +29,19 @@ func TestFacadeExtensions(t *testing.T) {
 	})
 
 	t.Run("dynamic", func(t *testing.T) {
-		net, err := fdlsp.NewDynamic(g, fdlsp.GreedySchedule(g))
+		up, err := fdlsp.NewIncremental(g, fdlsp.GreedySchedule(g))
 		if err != nil {
 			t.Fatal(err)
 		}
-		ev := fdlsp.TopologyEvent{Kind: fdlsp.EventNodeFail, U: 0}
-		if err := net.Apply(ev); err != nil {
+		rep, err := up.Apply([]fdlsp.TopologyEvent{{Kind: fdlsp.EventNodeFail, U: 0}})
+		if err != nil {
 			t.Fatal(err)
 		}
-		if !fdlsp.Valid(net.Graph(), net.Assignment()) {
+		if !fdlsp.Valid(up.Graph(), up.Assignment()) {
 			t.Fatal("invalid after repair")
 		}
-		if net.Stats().Events != 1 {
-			t.Fatal("stats not recorded")
+		if rep.Events != 1 || up.Updates() != 1 {
+			t.Fatal("update not recorded")
 		}
 	})
 

@@ -42,10 +42,10 @@ type (
 func SurvivingGraph(g *Graph, crashed []int) *Graph { return core.SurvivingGraph(g, crashed) }
 
 // CrashEventsFromPlan converts a FaultPlan's crash schedule into the
-// topology events the dynamic maintenance layer understands (NodeFail per
-// crash, NodeJoin per restart with the then-alive neighbor set), so
-// schedule-repair cost under the same fault script can be measured with
-// DynamicNetwork.Apply. Nodes the protocol already reintegrated in-band
+// topology events the maintenance path understands (NodeFail per crash,
+// NodeJoin per restart with the then-alive neighbor set), so schedule-repair
+// cost under the same fault script can be measured with
+// IncrementalUpdater.Apply. Nodes the protocol already reintegrated in-band
 // (Result.Rejoin.Returned) go in rejoined; their crash/restart pair is
 // omitted so the repair is not double-counted.
 func CrashEventsFromPlan(g *Graph, plan *FaultPlan, rejoined []int) []TopologyEvent {

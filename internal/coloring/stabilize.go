@@ -10,11 +10,11 @@ import (
 // Stabilize repairs the schedule from the given dirty set using a
 // distributed-round local rule, and returns the number of rounds taken plus
 // the worst usable-frame fraction observed while repair was in progress.
-// It is the one stabilization implementation shared by the churn soak
-// (internal/soak) and the incremental rescheduling service (internal/incr):
-// both feed it a dirty set derived from a topology delta and rely on the
-// same convergence bound. Entries of dirty are flipped to false as arcs come
-// clean; the map is consumed, not preserved.
+// It is the repair rule of internal/incr, the one maintenance path: every
+// live schedule — fdlspd sessions, the churn soak, the churn experiments —
+// is repaired by it from a dirty set incr derives from a topology delta,
+// under the same convergence bound. Entries of dirty are flipped to false as
+// arcs come clean; the map is consumed, not preserved.
 //
 // The rule models what each sensor could do with its distance-2 color
 // knowledge: per round, every dirty arc (uncolored, or sharing its slot with

@@ -8,16 +8,17 @@ import (
 )
 
 // CrashEvents translates a fault plan's crash schedule into the topology
-// events the maintenance layer understands: each crash becomes a NodeFail
+// events the maintenance path understands: each crash becomes a NodeFail
 // (the dead sensor's links drop), and each restart becomes a NodeJoin
 // re-attaching the sensor to those of its g-neighbors that are alive at
 // that moment. Events are ordered by virtual time (ties: node id), so
-// replaying them through Network.Apply subjects a live schedule to exactly
-// the churn the simulator's fault layer injects — the bridge between the two
-// failure models (runtime faults in internal/sim, topology repair here).
+// replaying them through incr.Updater.Apply subjects a live schedule to
+// exactly the churn the simulator's fault layer injects — the bridge between
+// the two failure models (runtime faults in internal/sim, topology repair in
+// internal/incr).
 //
 // Only *net* state transitions are emitted. A node whose marks cancel out
-// inside one virtual-time tick never reaches the maintenance layer: a
+// inside one virtual-time tick never reaches the maintenance path: a
 // zero-length outage (RestartAt == At — the node crashed and rejoined inside
 // one tick, never observed down by the engines) produces no events, and
 // back-to-back windows (one outage's restart coinciding with the next
@@ -29,7 +30,7 @@ import (
 // rejoined lists nodes whose bounded outage the protocol itself already
 // repaired (core.Result.Rejoin.Returned): their crash/restart pair is
 // omitted entirely — the rejoin handshake restored their links and colors
-// in-band, so charging the maintenance layer a NodeFail/NodeJoin for them
+// in-band, so charging the maintenance path a NodeFail/NodeJoin for them
 // would double-count the repair. Such nodes also never count as down when
 // computing other restarts' surviving peer sets, since their links never
 // left the maintained schedule. Crash-stops are unaffected by rejoined
@@ -101,7 +102,7 @@ func CrashEvents(g *graph.Graph, plan *sim.FaultPlan, rejoined []int) []Event {
 }
 
 // MoveEvents diffs two neighborhood snapshots into the NodeMove events that
-// carry a mobility step into the maintenance layer. prev and next report a
+// carry a mobility step into the maintenance path. prev and next report a
 // node's neighbor set before and after the step (internal/geom mobility
 // traces provide exactly this as a pure function of positions); live masks
 // out nodes currently held down by the fault layer — a moving crashed node
@@ -110,7 +111,8 @@ func CrashEvents(g *graph.Graph, plan *sim.FaultPlan, rejoined []int) []Event {
 // nodes are excluded from every emitted peer set. A NodeMove is emitted only
 // for nodes whose live neighbor set actually changed; an edge whose other
 // endpoint moved away is repaired by that endpoint's own event, so replaying
-// the result through Network.Apply performs each link change exactly once.
+// the result through incr.Updater.Apply performs each link change exactly
+// once.
 func MoveEvents(n int, prev, next func(v int) []int, live []bool) []Event {
 	alive := func(v int) bool { return live == nil || live[v] }
 	liveSet := func(f func(int) []int, v int) []int {

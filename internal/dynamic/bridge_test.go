@@ -1,25 +1,22 @@
-package dynamic
+package dynamic_test
 
 import (
 	"testing"
 
-	"fdlsp/internal/coloring"
+	"fdlsp/internal/dynamic"
 	"fdlsp/internal/graph"
 	"fdlsp/internal/sim"
 )
 
 func TestCrashEventsReplayKeepsScheduleValid(t *testing.T) {
 	g := graph.Grid(4, 4)
-	net, err := New(g, coloring.Greedy(g, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
+	up := mustUpdater(t, g)
 	plan := &sim.FaultPlan{Crashes: []sim.Crash{
 		{Node: 5, At: 10},                // crash-stop
 		{Node: 9, At: 12, RestartAt: 30}, // outage with recovery
 		{Node: 10, At: 12},               // crash-stop while 9 is down
 	}}
-	events := CrashEvents(g, plan, nil)
+	events := dynamic.CrashEvents(g, plan, nil)
 	want := []string{"node-fail{5->[]}", "node-fail{9->[]}", "node-fail{10->[]}", "node-join{9->[8 13]}"}
 	if len(events) != len(want) {
 		t.Fatalf("events = %v, want %d of them", events, len(want))
@@ -37,12 +34,8 @@ func TestCrashEventsReplayKeepsScheduleValid(t *testing.T) {
 		}
 	}
 	for _, ev := range events {
-		if err := net.Apply(ev); err != nil {
-			t.Fatalf("apply %v: %v", ev, err)
-		}
-		if viols := coloring.Verify(net.Graph(), net.Assignment()); len(viols) != 0 {
-			t.Fatalf("after %v: schedule invalid: %v", ev, viols[0])
-		}
+		apply(t, up, ev)
+		checkValid(t, up, "after "+ev.String())
 	}
 }
 
@@ -53,7 +46,7 @@ func TestCrashEventsSkipsProtocolRejoinedNodes(t *testing.T) {
 		{Node: 9, At: 12, RestartAt: 30}, // outage the protocol repaired
 		{Node: 6, At: 20, RestartAt: 40}, // outage repaired out-of-band
 	}}
-	events := CrashEvents(g, plan, []int{9})
+	events := dynamic.CrashEvents(g, plan, []int{9})
 	// Node 9's fail/join pair is gone: the protocol already restored its
 	// links and colors in-band. Node 5 crash-stopped and node 6's restart
 	// was not reintegrated, so both still reach the maintenance layer — and
@@ -69,7 +62,7 @@ func TestCrashEventsSkipsProtocolRejoinedNodes(t *testing.T) {
 	}
 	// A crash-stop listed as rejoined is impossible; the bridge must ignore
 	// the claim rather than drop the NodeFail.
-	events = CrashEvents(g, plan, []int{5, 9})
+	events = dynamic.CrashEvents(g, plan, []int{5, 9})
 	if len(events) != len(want) || events[0].String() != want[0] {
 		t.Errorf("crash-stop in rejoined list altered events: %v", events)
 	}
@@ -85,7 +78,7 @@ func TestCrashEventsZeroLengthOutageEmitsNothing(t *testing.T) {
 		{Node: 4, At: 7, RestartAt: 7},
 		{Node: 2, At: 5, RestartAt: 9},
 	}}
-	events := CrashEvents(g, plan, nil)
+	events := dynamic.CrashEvents(g, plan, nil)
 	want := []string{"node-fail{2->[]}", "node-join{2->[1 5]}"}
 	if len(events) != len(want) {
 		t.Fatalf("events = %v, want %v", events, want)
@@ -110,7 +103,7 @@ func TestCrashEventsBackToBackWindowsNetTransitions(t *testing.T) {
 	if err := plan.Validate(g.N()); err != nil {
 		t.Fatal(err)
 	}
-	events := CrashEvents(g, plan, nil)
+	events := dynamic.CrashEvents(g, plan, nil)
 	want := []string{"node-fail{4->[]}", "node-join{4->[1 3 5 7]}"}
 	if len(events) != len(want) {
 		t.Fatalf("events = %v, want %v", events, want)
@@ -120,58 +113,44 @@ func TestCrashEventsBackToBackWindowsNetTransitions(t *testing.T) {
 			t.Errorf("event %d = %v, want %v", i, ev, want[i])
 		}
 	}
-	// Replaying through the maintenance layer must keep the schedule valid.
-	net, err := New(g, coloring.Greedy(g, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Replaying through the maintenance path must keep the schedule valid.
+	up := mustUpdater(t, g)
 	for _, ev := range events {
-		if err := net.Apply(ev); err != nil {
-			t.Fatalf("apply %v: %v", ev, err)
-		}
+		apply(t, up, ev)
 	}
-	if viols := coloring.Verify(net.Graph(), net.Assignment()); len(viols) != 0 {
-		t.Fatalf("schedule invalid after replay: %v", viols[0])
-	}
+	checkValid(t, up, "after replay")
 }
 
 func TestMoveEventsDiffsLiveNeighborhoods(t *testing.T) {
 	g := graph.Path(4) // 0-1-2-3
-	net, err := New(g, coloring.Greedy(g, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
+	up := mustUpdater(t, g)
 	// Node 3 moves from the end of the path to sit next to 0 and 1.
 	prevN := map[int][]int{0: {1}, 1: {0, 2}, 2: {1, 3}, 3: {2}}
 	nextN := map[int][]int{0: {1, 3}, 1: {0, 2, 3}, 2: {1}, 3: {0, 1}}
 	at := func(m map[int][]int) func(int) []int {
 		return func(v int) []int { return m[v] }
 	}
-	events := MoveEvents(4, at(prevN), at(nextN), nil)
+	events := dynamic.MoveEvents(4, at(prevN), at(nextN), nil)
 	// Every node's neighborhood changed, so each emits one NodeMove; replay
 	// performs each link change exactly once (Apply rejects double adds).
 	if len(events) != 4 {
 		t.Fatalf("events = %v, want 4 NodeMoves", events)
 	}
 	for _, ev := range events {
-		if ev.Kind != NodeMove {
+		if ev.Kind != dynamic.NodeMove {
 			t.Fatalf("unexpected event %v", ev)
 		}
-		if err := net.Apply(ev); err != nil {
-			t.Fatalf("apply %v: %v", ev, err)
-		}
+		apply(t, up, ev)
 	}
-	if viols := coloring.Verify(net.Graph(), net.Assignment()); len(viols) != 0 {
-		t.Fatalf("schedule invalid after move replay: %v", viols[0])
-	}
-	if !net.Graph().HasEdge(0, 3) || !net.Graph().HasEdge(1, 3) || net.Graph().HasEdge(2, 3) {
-		t.Errorf("topology after move wrong: %v", net.Graph())
+	checkValid(t, up, "after move replay")
+	if !up.Graph().HasEdge(0, 3) || !up.Graph().HasEdge(1, 3) || up.Graph().HasEdge(2, 3) {
+		t.Errorf("topology after move wrong: %v", up.Graph())
 	}
 
 	// A crashed node moving emits nothing, and its links are masked out of
 	// every peer set.
 	live := []bool{true, true, true, false}
-	events = MoveEvents(4, at(prevN), at(nextN), live)
+	events = dynamic.MoveEvents(4, at(prevN), at(nextN), live)
 	for _, ev := range events {
 		if ev.U == 3 {
 			t.Errorf("down node emitted %v", ev)

@@ -1,20 +1,11 @@
-// Package dynamic implements the paper's future-work direction (Section 9):
-// fault-tolerant maintenance of an FDLSP schedule under topology churn —
-// sensors joining, failing, moving, links appearing and disappearing. The
-// repair is local: only arcs whose feasibility is actually affected are
-// recolored, using the same distance-2 knowledge the distributed algorithms
-// use, and the repair cost (recolored arcs, touched nodes — a proxy for
-// messages) is accounted so it can be compared against rebuilding the
-// schedule from scratch.
-//
-// Soundness rests on two observations about the conflict predicate:
-//
-//   - removing an edge only removes conflicts, so link-down events keep the
-//     remaining schedule feasible without any recoloring;
-//   - recoloring one arc with a color feasible against every currently
-//     colored conflicting arc can never invalidate other arcs, so repair
-//     never cascades: the violated pairs introduced by a link-up event are
-//     each fixed by recoloring one arc of the pair.
+// Package dynamic is the vocabulary of the paper's future-work direction
+// (Section 9): maintaining an FDLSP schedule under topology churn — sensors
+// joining, failing, moving, links appearing and disappearing. It defines
+// the topology Event and its JSON wire form, the bridges that turn fault
+// plans and mobility steps into events (CrashEvents, MoveEvents), and Diff,
+// the per-node re-deployment set between two schedules. Applying events to
+// a live schedule is internal/incr's job: incr.Updater is the one
+// maintenance path, and every caller feeds it batches of these events.
 package dynamic
 
 import (
@@ -23,7 +14,6 @@ import (
 	"sort"
 
 	"fdlsp/internal/coloring"
-	"fdlsp/internal/graph"
 )
 
 // EventKind discriminates topology events.
@@ -121,202 +111,6 @@ func (e Event) String() string {
 	}
 }
 
-// RepairStats accumulates maintenance cost across events.
-type RepairStats struct {
-	Events        int
-	NewArcs       int64 // arcs colored because links appeared
-	RecoloredArcs int64 // previously colored arcs that had to change
-	DroppedArcs   int64 // arcs removed with their links
-	TouchedNodes  int64 // nodes within distance 2 of a repair (message proxy)
-}
-
-// Network is a live schedule under maintenance.
-type Network struct {
-	g     *graph.Graph
-	as    coloring.Assignment
-	stats RepairStats
-}
-
-// New wraps a valid schedule for maintenance. The graph is cloned; the
-// assignment is copied.
-func New(g *graph.Graph, as coloring.Assignment) (*Network, error) {
-	if viols := coloring.Verify(g, as); len(viols) != 0 {
-		return nil, fmt.Errorf("dynamic: initial schedule invalid: %v", viols[0])
-	}
-	return &Network{g: g.Clone(), as: as.Clone()}, nil
-}
-
-// Graph returns the current topology (read-only by convention).
-func (n *Network) Graph() *graph.Graph { return n.g }
-
-// Assignment returns the current schedule (read-only by convention).
-func (n *Network) Assignment() coloring.Assignment { return n.as }
-
-// Slots returns the current frame length.
-func (n *Network) Slots() int { return n.as.NumColors() }
-
-// Stats returns the accumulated repair cost.
-func (n *Network) Stats() RepairStats { return n.stats }
-
-// Apply performs one topology event and repairs the schedule locally. The
-// schedule is feasible for the updated topology when Apply returns.
-func (n *Network) Apply(ev Event) error {
-	n.stats.Events++
-	switch ev.Kind {
-	case LinkUp:
-		return n.linkUp(ev.U, ev.V)
-	case LinkDown:
-		return n.linkDown(ev.U, ev.V)
-	case NodeFail:
-		n.g.Neighbors(ev.U) // bounds check
-		for _, u := range n.g.Neighbors(ev.U) {
-			if err := n.linkDown(ev.U, u); err != nil {
-				return err
-			}
-		}
-		return nil
-	case NodeJoin:
-		for _, u := range ev.Peers {
-			if err := n.linkUp(ev.U, u); err != nil {
-				return err
-			}
-		}
-		return nil
-	case NodeMove:
-		want := make(map[int]bool, len(ev.Peers))
-		for _, u := range ev.Peers {
-			want[u] = true
-		}
-		for _, u := range n.g.Neighbors(ev.U) {
-			if !want[u] {
-				if err := n.linkDown(ev.U, u); err != nil {
-					return err
-				}
-			}
-		}
-		for _, u := range ev.Peers {
-			if !n.g.HasEdge(ev.U, u) {
-				if err := n.linkUp(ev.U, u); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	default:
-		return fmt.Errorf("dynamic: unknown event kind %v", ev.Kind)
-	}
-}
-
-// linkDown removes {u,v} and the colors of its two arcs. Removing
-// adjacency removes conflicts, so the rest of the schedule stays feasible.
-func (n *Network) linkDown(u, v int) error {
-	if u == v {
-		return fmt.Errorf("dynamic: self link {%d,%d}", u, v)
-	}
-	if !n.g.HasEdge(u, v) {
-		return fmt.Errorf("dynamic: link-down on missing edge {%d,%d}", u, v)
-	}
-	n.g.RemoveEdge(u, v)
-	delete(n.as, graph.Arc{From: u, To: v})
-	delete(n.as, graph.Arc{From: v, To: u})
-	n.stats.DroppedArcs += 2
-	n.touch(u, v)
-	return nil
-}
-
-// linkUp inserts {u,v}, repairs the schedule violations the new adjacency
-// introduces, and colors the two new arcs.
-func (n *Network) linkUp(u, v int) error {
-	if u == v {
-		return fmt.Errorf("dynamic: self link {%d,%d}", u, v)
-	}
-	if n.g.HasEdge(u, v) {
-		return fmt.Errorf("dynamic: link-up on existing edge {%d,%d}", u, v)
-	}
-	n.g.AddEdge(u, v)
-	n.touch(u, v)
-
-	// New conflicts only arise from the new adjacency: a receiver at u now
-	// hears a transmitter at v (and vice versa). Violated pairs are
-	// (x,u)/(v,z) and (x,v)/(u,z) sharing a color.
-	type pair struct{ a, b graph.Arc }
-	var violated []pair
-	collect := func(recvAt, sendAt int) {
-		for _, a := range n.g.InArcs(recvAt) {
-			ca := n.as[a]
-			if ca == coloring.None {
-				continue
-			}
-			for _, b := range n.g.OutArcs(sendAt) {
-				if a == b || a == b.Reverse() {
-					continue
-				}
-				if n.as[b] == ca && coloring.Conflict(n.g, a, b) {
-					violated = append(violated, pair{a, b})
-				}
-			}
-		}
-	}
-	collect(u, v)
-	collect(v, u)
-
-	for _, p := range violated {
-		// Both may have been repaired already by an earlier pair.
-		if n.as[p.a] != n.as[p.b] || n.as[p.a] == coloring.None {
-			continue
-		}
-		// Recolor the arc with the larger (tail, head): a deterministic,
-		// locally computable choice.
-		victim := p.a
-		if less(p.a, p.b) {
-			victim = p.b
-		}
-		delete(n.as, victim)
-		coloring.AssignGreedyLocal(n.g, n.as, []graph.Arc{victim})
-		n.stats.RecoloredArcs++
-		n.touch(victim.From, victim.To)
-	}
-
-	// Finally color the two new arcs.
-	newArcs := []graph.Arc{{From: u, To: v}, {From: v, To: u}}
-	colored := coloring.AssignGreedyLocal(n.g, n.as, newArcs)
-	n.stats.NewArcs += int64(len(colored))
-	return nil
-}
-
-func less(a, b graph.Arc) bool {
-	if a.From != b.From {
-		return a.From < b.From
-	}
-	return a.To < b.To
-}
-
-// touch accounts the nodes participating in a repair: everything within
-// distance 2 of the affected endpoints (the nodes that must exchange or
-// update distance-2 color knowledge).
-func (n *Network) touch(u, v int) {
-	seen := map[int]struct{}{u: {}, v: {}}
-	for _, x := range []int{u, v} {
-		for _, w := range n.g.Within(x, 2) {
-			seen[w] = struct{}{}
-		}
-	}
-	n.stats.TouchedNodes += int64(len(seen))
-}
-
-// Rebuild recomputes the whole schedule from scratch with the greedy
-// reference colorer — the non-incremental baseline the repair cost is
-// compared against. It returns the fresh assignment without installing it.
-func (n *Network) Rebuild() coloring.Assignment {
-	return coloring.Greedy(n.g, nil)
-}
-
-// InstallRebuild replaces the maintained schedule by a fresh greedy
-// recomputation (e.g. after frame-length drift exceeds a threshold).
-func (n *Network) InstallRebuild() {
-	n.as = coloring.Greedy(n.g, nil)
-}
-
 // NodeDelta lists the slot-table changes one node must apply after a
 // repair: deployment-wise, only these nodes need re-flashing.
 type NodeDelta struct {
@@ -337,63 +131,55 @@ func (d NodeDelta) Changed() bool {
 // incremental repair (nodes absent from the result keep their firmware
 // schedule untouched).
 func Diff(old, new coloring.Assignment) []NodeDelta {
-	type key struct {
-		node int
-		slot int
+	type key struct{ node, slot int }
+	tables := func(as coloring.Assignment) (tx, rx map[key]int) {
+		tx, rx = make(map[key]int, len(as)), make(map[key]int, len(as))
+		for a, c := range as {
+			tx[key{a.From, c}] = a.To
+			rx[key{a.To, c}] = a.From
+		}
+		return tx, rx
 	}
-	oldTX, newTX := map[key]int{}, map[key]int{}
-	oldRX, newRX := map[key]int{}, map[key]int{}
-	nodes := map[int]struct{}{}
-	for a, c := range old {
-		oldTX[key{a.From, c}] = a.To
-		oldRX[key{a.To, c}] = a.From
-		nodes[a.From] = struct{}{}
-		nodes[a.To] = struct{}{}
+	oldTX, oldRX := tables(old)
+	newTX, newRX := tables(new)
+	deltas := map[int]*NodeDelta{}
+	delta := func(v int) *NodeDelta {
+		if deltas[v] == nil {
+			deltas[v] = &NodeDelta{Node: v, TXAdded: map[int]int{}, RXAdded: map[int]int{}}
+		}
+		return deltas[v]
 	}
-	for a, c := range new {
-		newTX[key{a.From, c}] = a.To
-		newRX[key{a.To, c}] = a.From
-		nodes[a.From] = struct{}{}
-		nodes[a.To] = struct{}{}
+	// Peers are node ids, and node 0 is one, so presence is tested with
+	// comma-ok lookups, never against a map's zero value. A changed peer in
+	// a kept slot lands in the Added map only.
+	for k, peer := range newTX {
+		if was, ok := oldTX[k]; !ok || was != peer {
+			delta(k.node).TXAdded[k.slot] = peer
+		}
 	}
-	ids := make([]int, 0, len(nodes))
-	for v := range nodes {
-		ids = append(ids, v)
+	for k := range oldTX {
+		if _, ok := newTX[k]; !ok {
+			d := delta(k.node)
+			d.TXGone = append(d.TXGone, k.slot)
+		}
 	}
-	sort.Ints(ids)
+	for k, peer := range newRX {
+		if was, ok := oldRX[k]; !ok || was != peer {
+			delta(k.node).RXAdded[k.slot] = peer
+		}
+	}
+	for k := range oldRX {
+		if _, ok := newRX[k]; !ok {
+			d := delta(k.node)
+			d.RXGone = append(d.RXGone, k.slot)
+		}
+	}
 	var out []NodeDelta
-	for _, v := range ids {
-		d := NodeDelta{Node: v, TXAdded: map[int]int{}, RXAdded: map[int]int{}}
-		for k, to := range newTX {
-			if k.node == v && oldTX[k] != to {
-				d.TXAdded[k.slot] = to
-			}
-		}
-		for k := range oldTX {
-			if k.node == v {
-				if _, ok := newTX[k]; !ok {
-					d.TXGone = append(d.TXGone, k.slot)
-				}
-				// A changed receiver in a kept slot is already in TXAdded.
-			}
-		}
-		for k, from := range newRX {
-			if k.node == v && oldRX[k] != from {
-				d.RXAdded[k.slot] = from
-			}
-		}
-		for k := range oldRX {
-			if k.node == v {
-				if _, ok := newRX[k]; !ok {
-					d.RXGone = append(d.RXGone, k.slot)
-				}
-			}
-		}
+	for _, d := range deltas {
 		sort.Ints(d.TXGone)
 		sort.Ints(d.RXGone)
-		if d.Changed() {
-			out = append(out, d)
-		}
+		out = append(out, *d)
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })
 	return out
 }

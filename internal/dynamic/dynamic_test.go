@@ -1,4 +1,4 @@
-package dynamic
+package dynamic_test
 
 import (
 	"encoding/json"
@@ -9,65 +9,87 @@ import (
 	"testing/quick"
 
 	"fdlsp/internal/coloring"
+	"fdlsp/internal/dynamic"
 	"fdlsp/internal/graph"
+	"fdlsp/internal/incr"
 )
 
-func mustNetwork(tb testing.TB, g *graph.Graph) *Network {
+// The maintenance tests drive dynamic.Events through incr.Updater, the one
+// path that applies them to a live schedule; they live in this external
+// test package because incr imports dynamic.
+
+func mustUpdater(tb testing.TB, g *graph.Graph) *incr.Updater {
 	tb.Helper()
-	n, err := New(g, coloring.Greedy(g, nil))
+	up, err := incr.New(g, coloring.Greedy(g, nil))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return n
+	return up
 }
 
-func checkValid(tb testing.TB, n *Network, context string) {
+// apply runs ev as a one-event batch.
+func apply(tb testing.TB, up *incr.Updater, ev dynamic.Event) *incr.Report {
 	tb.Helper()
-	if viols := coloring.Verify(n.Graph(), n.Assignment()); len(viols) != 0 {
+	rep, err := up.Apply([]dynamic.Event{ev})
+	if err != nil {
+		tb.Fatalf("%v: %v", ev, err)
+	}
+	return rep
+}
+
+func checkValid(tb testing.TB, up *incr.Updater, context string) {
+	tb.Helper()
+	if viols := coloring.Verify(up.Graph(), up.Assignment()); len(viols) != 0 {
 		tb.Fatalf("%s: schedule invalid: %v", context, viols[0])
 	}
+}
+
+// linkFlip toggles {u,v}: a link-down if the edge exists, else a link-up.
+func linkFlip(g *graph.Graph, u, v int) dynamic.Event {
+	if g.HasEdge(u, v) {
+		return dynamic.Event{Kind: dynamic.LinkDown, U: u, V: v}
+	}
+	return dynamic.Event{Kind: dynamic.LinkUp, U: u, V: v}
 }
 
 func TestNewRejectsInvalid(t *testing.T) {
 	g := graph.Path(3)
 	as := coloring.NewAssignment(g)
-	if _, err := New(g, as); err == nil {
+	if _, err := incr.New(g, as); err == nil {
 		t.Fatal("expected error for incomplete schedule")
 	}
 }
 
 func TestLinkDownKeepsValidity(t *testing.T) {
 	g := graph.Cycle(6)
-	n := mustNetwork(t, g)
-	if err := n.Apply(Event{Kind: LinkDown, U: 0, V: 1}); err != nil {
-		t.Fatal(err)
-	}
-	checkValid(t, n, "after link-down")
-	if n.Graph().HasEdge(0, 1) {
+	up := mustUpdater(t, g)
+	rep := apply(t, up, dynamic.Event{Kind: dynamic.LinkDown, U: 0, V: 1})
+	checkValid(t, up, "after link-down")
+	if up.Graph().HasEdge(0, 1) {
 		t.Error("edge not removed")
 	}
-	if n.Stats().DroppedArcs != 2 {
-		t.Errorf("dropped arcs = %d", n.Stats().DroppedArcs)
+	if len(rep.Dropped) != 2 || len(rep.Recolored) != 0 {
+		t.Errorf("dropped %v, recolored %v; want the two arcs dropped and nothing recolored", rep.Dropped, rep.Recolored)
 	}
-	if err := n.Apply(Event{Kind: LinkDown, U: 0, V: 1}); err == nil {
+	if _, err := up.Apply([]dynamic.Event{{Kind: dynamic.LinkDown, U: 0, V: 1}}); err == nil {
 		t.Error("double link-down should fail")
 	}
 }
 
 func TestLinkUpColorsNewArcs(t *testing.T) {
 	g := graph.Path(4)
-	n := mustNetwork(t, g)
-	if err := n.Apply(Event{Kind: LinkUp, U: 0, V: 3}); err != nil {
-		t.Fatal(err)
+	up := mustUpdater(t, g)
+	rep := apply(t, up, dynamic.Event{Kind: dynamic.LinkUp, U: 0, V: 3})
+	checkValid(t, up, "after link-up")
+	for _, a := range []graph.Arc{{From: 0, To: 3}, {From: 3, To: 0}} {
+		if up.Assignment()[a] == coloring.None {
+			t.Errorf("new arc %v uncolored", a)
+		}
 	}
-	checkValid(t, n, "after link-up")
-	if n.Assignment()[graph.Arc{From: 0, To: 3}] == coloring.None {
-		t.Error("new arc uncolored")
+	if len(rep.Recolored) < 2 {
+		t.Errorf("recolor delta %v lacks the two new arcs", rep.Recolored)
 	}
-	if n.Stats().NewArcs != 2 {
-		t.Errorf("new arcs = %d", n.Stats().NewArcs)
-	}
-	if err := n.Apply(Event{Kind: LinkUp, U: 0, V: 3}); err == nil {
+	if _, err := up.Apply([]dynamic.Event{{Kind: dynamic.LinkUp, U: 0, V: 3}}); err == nil {
 		t.Error("duplicate link-up should fail")
 	}
 }
@@ -83,31 +105,36 @@ func TestLinkUpRepairsHiddenTerminal(t *testing.T) {
 	as.Set(graph.Arc{From: 1, To: 0}, 2)
 	as.Set(graph.Arc{From: 2, To: 3}, 1) // conflicts with (0,1) once 1-2 exists
 	as.Set(graph.Arc{From: 3, To: 2}, 2)
-	n, err := New(g, as)
+	up, err := incr.New(g, as)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Apply(Event{Kind: LinkUp, U: 1, V: 2}); err != nil {
-		t.Fatal(err)
+	rep := apply(t, up, dynamic.Event{Kind: dynamic.LinkUp, U: 1, V: 2})
+	checkValid(t, up, "after repairing link-up")
+	if rep.DirtyArcs <= 2 {
+		t.Errorf("dirty set %d holds only the new arcs; the clashing pair is missing", rep.DirtyArcs)
 	}
-	checkValid(t, n, "after repairing link-up")
-	if n.Stats().RecoloredArcs == 0 {
-		t.Error("expected at least one recolored arc")
+	repaired := 0
+	for _, rc := range rep.Recolored {
+		if min(rc.From, rc.To) != 1 || max(rc.From, rc.To) != 2 {
+			repaired++ // not one of the new link's arcs
+		}
+	}
+	if repaired == 0 {
+		t.Errorf("expected at least one recolored existing arc, delta %v", rep.Recolored)
 	}
 }
 
 func TestNodeFail(t *testing.T) {
 	g := graph.Star(6)
-	n := mustNetwork(t, g)
-	if err := n.Apply(Event{Kind: NodeFail, U: 0}); err != nil {
-		t.Fatal(err)
+	up := mustUpdater(t, g)
+	apply(t, up, dynamic.Event{Kind: dynamic.NodeFail, U: 0})
+	checkValid(t, up, "after center failure")
+	if up.Graph().M() != 0 {
+		t.Errorf("star center failed but %d edges remain", up.Graph().M())
 	}
-	checkValid(t, n, "after center failure")
-	if n.Graph().M() != 0 {
-		t.Errorf("star center failed but %d edges remain", n.Graph().M())
-	}
-	if n.Slots() != 0 {
-		t.Errorf("no links left but %d slots", n.Slots())
+	if up.Slots() != 0 {
+		t.Errorf("no links left but %d slots", up.Slots())
 	}
 }
 
@@ -116,19 +143,15 @@ func TestNodeJoinAndMove(t *testing.T) {
 	g.AddEdge(0, 1)
 	g.AddEdge(1, 2)
 	g.AddEdge(2, 3)
-	n := mustNetwork(t, g)
-	if err := n.Apply(Event{Kind: NodeJoin, U: 4, Peers: []int{1, 2}}); err != nil {
-		t.Fatal(err)
-	}
-	checkValid(t, n, "after join")
-	if !n.Graph().HasEdge(4, 1) || !n.Graph().HasEdge(4, 2) {
+	up := mustUpdater(t, g)
+	apply(t, up, dynamic.Event{Kind: dynamic.NodeJoin, U: 4, Peers: []int{1, 2}})
+	checkValid(t, up, "after join")
+	if !up.Graph().HasEdge(4, 1) || !up.Graph().HasEdge(4, 2) {
 		t.Error("join links missing")
 	}
-	if err := n.Apply(Event{Kind: NodeMove, U: 4, Peers: []int{2, 3}}); err != nil {
-		t.Fatal(err)
-	}
-	checkValid(t, n, "after move")
-	if n.Graph().HasEdge(4, 1) || !n.Graph().HasEdge(4, 3) || !n.Graph().HasEdge(4, 2) {
+	apply(t, up, dynamic.Event{Kind: dynamic.NodeMove, U: 4, Peers: []int{2, 3}})
+	checkValid(t, up, "after move")
+	if up.Graph().HasEdge(4, 1) || !up.Graph().HasEdge(4, 3) || !up.Graph().HasEdge(4, 2) {
 		t.Error("move did not rewire correctly")
 	}
 }
@@ -136,28 +159,19 @@ func TestNodeJoinAndMove(t *testing.T) {
 func TestChurnStaysValid(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := graph.GNM(25, 60, rng)
-	n := mustNetwork(t, g)
+	up := mustUpdater(t, g)
 	for step := 0; step < 400; step++ {
 		u, v := rng.Intn(25), rng.Intn(25)
 		if u == v {
 			continue
 		}
-		var ev Event
-		if n.Graph().HasEdge(u, v) {
-			ev = Event{Kind: LinkDown, U: u, V: v}
-		} else {
-			ev = Event{Kind: LinkUp, U: u, V: v}
-		}
-		if err := n.Apply(ev); err != nil {
-			t.Fatalf("step %d %v: %v", step, ev, err)
-		}
-		checkValid(t, n, ev.String())
+		ev := linkFlip(up.Graph(), u, v)
+		apply(t, up, ev)
+		checkValid(t, up, ev.String())
 	}
-	if n.Stats().Events != 400 {
-		// Some iterations skip on u==v, so events <= 400; ensure nontrivial.
-		if n.Stats().Events < 100 {
-			t.Errorf("too few events applied: %d", n.Stats().Events)
-		}
+	// Some iterations skip on u==v, so updates <= 400; ensure nontrivial.
+	if up.Updates() < 100 {
+		t.Errorf("too few events applied: %d", up.Updates())
 	}
 }
 
@@ -166,54 +180,22 @@ func TestRepairCheaperThanRebuild(t *testing.T) {
 	// touches a small fraction of the arcs a rebuild would.
 	rng := rand.New(rand.NewSource(4))
 	g := graph.ConnectedGNM(60, 180, rng)
-	n := mustNetwork(t, g)
-	events := 0
+	up := mustUpdater(t, g)
+	events, recolored := 0, 0
 	for step := 0; step < 200; step++ {
 		u, v := rng.Intn(60), rng.Intn(60)
 		if u == v {
 			continue
 		}
-		kind := LinkUp
-		if n.Graph().HasEdge(u, v) {
-			kind = LinkDown
-		}
-		if err := n.Apply(Event{Kind: kind, U: u, V: v}); err != nil {
-			t.Fatal(err)
-		}
+		recolored += len(apply(t, up, linkFlip(up.Graph(), u, v)).Recolored)
 		events++
 	}
-	perEvent := float64(n.Stats().RecoloredArcs+n.Stats().NewArcs) / float64(events)
-	rebuildArcs := float64(2 * n.Graph().M())
+	perEvent := float64(recolored) / float64(events)
+	rebuildArcs := float64(2 * up.Graph().M())
 	if perEvent > rebuildArcs/4 {
 		t.Errorf("repair recolors %.1f arcs/event; rebuild would recolor %d — incrementality lost", perEvent, int(rebuildArcs))
 	}
-	checkValid(t, n, "after churn")
-}
-
-func TestInstallRebuild(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	g := graph.GNM(20, 50, rng)
-	n := mustNetwork(t, g)
-	// Heavy churn tends to grow the frame; a rebuild resets it.
-	for step := 0; step < 100; step++ {
-		u, v := rng.Intn(20), rng.Intn(20)
-		if u == v {
-			continue
-		}
-		kind := LinkUp
-		if n.Graph().HasEdge(u, v) {
-			kind = LinkDown
-		}
-		if err := n.Apply(Event{Kind: kind, U: u, V: v}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	drifted := n.Slots()
-	n.InstallRebuild()
-	checkValid(t, n, "after rebuild")
-	if n.Slots() > drifted {
-		t.Errorf("rebuild made the frame longer: %d -> %d", drifted, n.Slots())
-	}
+	checkValid(t, up, "after churn")
 }
 
 // Property: any single event on any valid schedule preserves validity.
@@ -222,7 +204,7 @@ func TestSingleEventPreservesValidityQuick(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		nNodes := 3 + rng.Intn(15)
 		g := graph.GNM(nNodes, rng.Intn(nNodes*(nNodes-1)/2+1), rng)
-		n, err := New(g, coloring.Greedy(g, nil))
+		up, err := incr.New(g, coloring.Greedy(g, nil))
 		if err != nil {
 			return false
 		}
@@ -230,14 +212,10 @@ func TestSingleEventPreservesValidityQuick(t *testing.T) {
 		if u == v {
 			return true
 		}
-		kind := LinkUp
-		if n.Graph().HasEdge(u, v) {
-			kind = LinkDown
-		}
-		if err := n.Apply(Event{Kind: kind, U: u, V: v}); err != nil {
+		if _, err := up.Apply([]dynamic.Event{linkFlip(up.Graph(), u, v)}); err != nil {
 			return false
 		}
-		return coloring.Valid(n.Graph(), n.Assignment())
+		return coloring.Valid(up.Graph(), up.Assignment())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
@@ -245,13 +223,13 @@ func TestSingleEventPreservesValidityQuick(t *testing.T) {
 }
 
 func TestEventStrings(t *testing.T) {
-	if (Event{Kind: LinkUp, U: 1, V: 2}).String() != "link-up{1,2}" {
+	if (dynamic.Event{Kind: dynamic.LinkUp, U: 1, V: 2}).String() != "link-up{1,2}" {
 		t.Error("link event string")
 	}
-	if (Event{Kind: NodeJoin, U: 3, Peers: []int{1}}).String() != "node-join{3->[1]}" {
+	if (dynamic.Event{Kind: dynamic.NodeJoin, U: 3, Peers: []int{1}}).String() != "node-join{3->[1]}" {
 		t.Error("join event string")
 	}
-	if EventKind(99).String() != "invalid" {
+	if dynamic.EventKind(99).String() != "invalid" {
 		t.Error("invalid kind string")
 	}
 }
@@ -259,7 +237,7 @@ func TestEventStrings(t *testing.T) {
 func TestDiffIdenticalIsEmpty(t *testing.T) {
 	g := graph.Cycle(6)
 	as := coloring.Greedy(g, nil)
-	if d := Diff(as, as); len(d) != 0 {
+	if d := dynamic.Diff(as, as); len(d) != 0 {
 		t.Fatalf("identical schedules diff: %v", d)
 	}
 }
@@ -269,20 +247,18 @@ func TestDiffLocalizedAfterRepair(t *testing.T) {
 	// firmware tables.
 	rng := rand.New(rand.NewSource(8))
 	g := graph.ConnectedGNM(40, 90, rng)
-	n := mustNetwork(t, g)
-	before := n.Assignment().Clone()
+	up := mustUpdater(t, g)
+	before := up.Assignment().Clone()
 	// Find a non-edge to add.
 	var u, v int
 	for {
 		u, v = rng.Intn(40), rng.Intn(40)
-		if u != v && !n.Graph().HasEdge(u, v) {
+		if u != v && !up.Graph().HasEdge(u, v) {
 			break
 		}
 	}
-	if err := n.Apply(Event{Kind: LinkUp, U: u, V: v}); err != nil {
-		t.Fatal(err)
-	}
-	deltas := Diff(before, n.Assignment())
+	apply(t, up, dynamic.Event{Kind: dynamic.LinkUp, U: u, V: v})
+	deltas := dynamic.Diff(before, up.Assignment())
 	if len(deltas) == 0 {
 		t.Fatal("a link-up must change at least the two endpoints")
 	}
@@ -305,12 +281,10 @@ func TestDiffLocalizedAfterRepair(t *testing.T) {
 func TestDiffDetectsRemovals(t *testing.T) {
 	g := graph.Path(3)
 	old := coloring.Greedy(g, nil)
-	n := mustNetwork(t, g)
-	if err := n.Apply(Event{Kind: LinkDown, U: 0, V: 1}); err != nil {
-		t.Fatal(err)
-	}
-	deltas := Diff(old, n.Assignment())
-	var node0 *NodeDelta
+	up := mustUpdater(t, g)
+	apply(t, up, dynamic.Event{Kind: dynamic.LinkDown, U: 0, V: 1})
+	deltas := dynamic.Diff(old, up.Assignment())
+	var node0 *dynamic.NodeDelta
 	for i := range deltas {
 		if deltas[i].Node == 0 {
 			node0 = &deltas[i]
@@ -321,32 +295,36 @@ func TestDiffDetectsRemovals(t *testing.T) {
 	}
 }
 
-func TestRebuildReturnsValidWithoutInstalling(t *testing.T) {
-	g := graph.Cycle(8)
-	n := mustNetwork(t, g)
-	before := n.Slots()
-	fresh := n.Rebuild()
-	if !coloring.Valid(n.Graph(), fresh) {
-		t.Fatal("rebuild invalid")
-	}
-	if n.Slots() != before {
-		t.Fatal("Rebuild must not install")
+// TestDiffNodeZeroPeer pins re-deployment entries whose peer is node 0: a
+// node id of 0 is a real peer, not "no entry".
+func TestDiffNodeZeroPeer(t *testing.T) {
+	for _, a := range []graph.Arc{{From: 1, To: 0}, {From: 0, To: 1}} {
+		deltas := dynamic.Diff(coloring.Assignment{}, coloring.Assignment{a: 3})
+		want := []dynamic.NodeDelta{
+			{Node: 0, TXAdded: map[int]int{}, RXAdded: map[int]int{}},
+			{Node: 1, TXAdded: map[int]int{}, RXAdded: map[int]int{}},
+		}
+		want[a.From].TXAdded[3] = a.To
+		want[a.To].RXAdded[3] = a.From
+		if !reflect.DeepEqual(deltas, want) {
+			t.Errorf("Diff({} -> {%v: 3}) = %+v, want %+v", a, deltas, want)
+		}
 	}
 }
 
 func TestEventJSONRoundTrip(t *testing.T) {
-	events := []Event{
-		{Kind: LinkUp, U: 3, V: 7},
-		{Kind: LinkDown, U: 0, V: 1},
-		{Kind: NodeFail, U: 5},
-		{Kind: NodeJoin, U: 2, Peers: []int{1, 4, 6}},
-		{Kind: NodeMove, U: 9, Peers: []int{0}},
+	events := []dynamic.Event{
+		{Kind: dynamic.LinkUp, U: 3, V: 7},
+		{Kind: dynamic.LinkDown, U: 0, V: 1},
+		{Kind: dynamic.NodeFail, U: 5},
+		{Kind: dynamic.NodeJoin, U: 2, Peers: []int{1, 4, 6}},
+		{Kind: dynamic.NodeMove, U: 9, Peers: []int{0}},
 	}
 	data, err := json.Marshal(events)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back []Event
+	var back []dynamic.Event
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
@@ -360,23 +338,23 @@ func TestEventJSONRoundTrip(t *testing.T) {
 }
 
 func TestEventJSONRejectsUnknownKind(t *testing.T) {
-	var ev Event
+	var ev dynamic.Event
 	if err := json.Unmarshal([]byte(`{"kind":"teleport","u":1,"v":2}`), &ev); err == nil {
 		t.Fatal("unknown kind should fail to decode")
 	}
-	if _, err := json.Marshal(Event{Kind: EventKind(42)}); err == nil {
+	if _, err := json.Marshal(dynamic.Event{Kind: dynamic.EventKind(42)}); err == nil {
 		t.Fatal("invalid kind should fail to encode")
 	}
 }
 
 func TestParseEventKind(t *testing.T) {
-	for k := LinkUp; k <= NodeMove; k++ {
-		got, err := ParseEventKind(k.String())
+	for k := dynamic.LinkUp; k <= dynamic.NodeMove; k++ {
+		got, err := dynamic.ParseEventKind(k.String())
 		if err != nil || got != k {
 			t.Errorf("ParseEventKind(%q) = %v, %v", k.String(), got, err)
 		}
 	}
-	if _, err := ParseEventKind("nope"); err == nil {
+	if _, err := dynamic.ParseEventKind("nope"); err == nil {
 		t.Error("ParseEventKind should reject unknown names")
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"fdlsp/internal/energy"
 	"fdlsp/internal/geom"
 	"fdlsp/internal/graph"
+	"fdlsp/internal/incr"
 	"fdlsp/internal/sched"
 )
 
@@ -82,49 +83,94 @@ func BroadcastComparison(nodeCounts []int, side, radius float64, trials int, see
 }
 
 // ChurnExperiment measures incremental repair against full rebuilds: random
-// link churn on a UDG, reporting per-event repair cost, frame drift, and
-// the arcs a rebuild would recolor.
+// link churn on a UDG, each event applied as its own incr batch, reporting
+// per-event repair cost, frame drift, and the arcs a rebuild would recolor.
 func ChurnExperiment(n int, side, radius float64, events, trials int, seed int64) (*Table, error) {
 	t := NewTable("trial", "events", "repair arcs/event", "touched nodes/event", "frame start", "frame end", "distinct end", "rebuild frame", "rebuild arcs")
 	for trial := 0; trial < trials; trial++ {
 		rng := rand.New(rand.NewSource(seed + int64(trial)*149))
 		g, _ := geom.RandomUDG(n, side, radius, rng)
-		as := coloring.Greedy(g, nil)
-		net, err := dynamic.New(g, as)
+		up, err := incr.New(g, coloring.Greedy(g, nil))
 		if err != nil {
 			return nil, err
 		}
-		start := net.Slots()
-		applied := 0
-		for applied < events {
+		start := up.Slots()
+		var repaired, touched int64
+		for applied := 0; applied < events; {
 			u, v := rng.Intn(n), rng.Intn(n)
 			if u == v {
 				continue
 			}
 			kind := dynamic.LinkUp
-			if net.Graph().HasEdge(u, v) {
+			if up.Graph().HasEdge(u, v) {
 				kind = dynamic.LinkDown
 			}
-			if err := net.Apply(dynamic.Event{Kind: kind, U: u, V: v}); err != nil {
+			ev := dynamic.Event{Kind: kind, U: u, V: v}
+			rep, err := up.Apply([]dynamic.Event{ev})
+			if err != nil {
 				return nil, err
 			}
 			applied++
-			if viols := coloring.Verify(net.Graph(), net.Assignment()); len(viols) != 0 {
+			if viols := coloring.Verify(up.Graph(), up.Assignment()); len(viols) != 0 {
 				return nil, fmt.Errorf("churn: invalid after %d events: %v", applied, viols[0])
 			}
+			repaired += int64(len(rep.Recolored))
+			touched += touchedNodes(up.Graph(), ev, rep)
 		}
-		st := net.Stats()
-		rebuild := net.Rebuild()
 		// Incremental repair can retire colors without compacting the frame:
 		// "distinct end" < "frame end" quantifies the idle slots a rebuild
 		// would reclaim.
 		t.AddRow(trial,
-			st.Events,
-			float64(st.NewArcs+st.RecoloredArcs)/float64(st.Events),
-			float64(st.TouchedNodes)/float64(st.Events),
-			start, net.Slots(), net.Assignment().DistinctColors(), rebuild.NumColors(), 2*net.Graph().M())
+			events,
+			float64(repaired)/float64(events),
+			float64(touched)/float64(events),
+			start, up.Slots(), up.Assignment().DistinctColors(),
+			coloring.Greedy(up.Graph(), nil).NumColors(), 2*up.Graph().M())
 	}
 	return t, nil
+}
+
+// touchedNodes is the repair's message proxy for one applied event: the
+// nodes that must exchange or update distance-2 color knowledge. Every link
+// the event added or dropped, and every pre-existing arc the repair
+// recolored, contributes |{u,v} ∪ N₂(u) ∪ N₂(v)| on the post-event graph g.
+// NodeMove is not handled: no experiment sends it.
+func touchedNodes(g *graph.Graph, ev dynamic.Event, rep *incr.Report) int64 {
+	type link struct{ u, v int }
+	key := func(u, v int) link { return link{min(u, v), max(u, v)} }
+	ball := func(l link) int64 {
+		seen := map[int]struct{}{l.u: {}, l.v: {}}
+		for _, x := range []int{l.u, l.v} {
+			for _, w := range g.Within(x, 2) {
+				seen[w] = struct{}{}
+			}
+		}
+		return int64(len(seen))
+	}
+	added := map[link]bool{}
+	switch ev.Kind {
+	case dynamic.LinkUp:
+		added[key(ev.U, ev.V)] = true
+	case dynamic.NodeJoin:
+		for _, p := range ev.Peers {
+			added[key(ev.U, p)] = true
+		}
+	}
+	var total int64
+	for l := range added {
+		total += ball(l)
+	}
+	for _, d := range rep.Dropped {
+		if d.From < d.To {
+			total += ball(link{d.From, d.To})
+		}
+	}
+	for _, r := range rep.Recolored {
+		if !added[key(r.From, r.To)] {
+			total += ball(key(r.From, r.To))
+		}
+	}
+	return total
 }
 
 // QUDGComparison schedules the same placements under UDG and quasi-UDG

@@ -7,6 +7,7 @@ import (
 	"fdlsp/internal/core"
 	"fdlsp/internal/dynamic"
 	"fdlsp/internal/geom"
+	"fdlsp/internal/incr"
 	"fdlsp/internal/sim"
 )
 
@@ -14,12 +15,12 @@ import (
 // the protocol repairs itself in-band (the crash-rejoin handshake: resync
 // requests, replies and generation-tagged re-announcements, counted by
 // Result.Rejoin.ResyncMsgs) versus the out-of-band baseline: compute the
-// schedule fault-free, then replay the same crash script through the dynamic
-// maintenance layer as NodeFail/NodeJoin topology events and count the nodes
-// its repairs touch (the maintenance layer's message proxy). Every crash in
-// the script is a bounded outage, so in-protocol runs should reintegrate all
-// of them (returned = crashes) and hand the maintenance layer nothing —
-// that is what the rejoin-aware CrashEvents bridge encodes.
+// schedule fault-free, then replay the same crash script through incr, the
+// maintenance path, as NodeFail/NodeJoin topology events (one batch each)
+// and count the nodes its repairs touch (touchedNodes, the message proxy).
+// Every crash in the script is a bounded outage, so in-protocol runs should
+// reintegrate all of them (returned = crashes) and hand the maintenance path
+// nothing — that is what the rejoin-aware CrashEvents bridge encodes.
 func RejoinRepair(n int, side, radius float64, losses []float64, crashes, trials int, seed int64) (*Table, error) {
 	t := NewTable("algo", "loss", "returned", "resync-msgs", "oob-touched", "oob-repaired-arcs", "in/oob")
 	for _, algo := range []string{"distMIS", "dfs"} {
@@ -55,20 +56,23 @@ func RejoinRepair(n int, side, radius float64, losses []float64, crashes, trials
 				if err != nil {
 					return nil, fmt.Errorf("rejoin repair %s baseline: %w", algo, err)
 				}
-				net, err := dynamic.New(g, base.Assignment)
+				up, err := incr.New(g, base.Assignment)
 				if err != nil {
 					return nil, fmt.Errorf("rejoin repair %s baseline: %w", algo, err)
 				}
+				var oobTouched, oobRepaired int64
 				for _, ev := range dynamic.CrashEvents(g, plan, nil) {
-					if err := net.Apply(ev); err != nil {
+					rep, err := up.Apply([]dynamic.Event{ev})
+					if err != nil {
 						return nil, fmt.Errorf("rejoin repair %s replay %v: %w", algo, ev, err)
 					}
+					oobTouched += touchedNodes(up.Graph(), ev, rep)
+					oobRepaired += int64(len(rep.Recolored))
 				}
-				st := net.Stats()
 				returned.Add(float64(len(res.Rejoin.Returned)))
 				resync.Add(float64(res.Rejoin.ResyncMsgs))
-				touched.Add(float64(st.TouchedNodes))
-				repaired.Add(float64(st.NewArcs + st.RecoloredArcs))
+				touched.Add(float64(oobTouched))
+				repaired.Add(float64(oobRepaired))
 			}
 			ratio := "-"
 			if touched.Mean() > 0 {

@@ -283,3 +283,94 @@ func TestApplyReportsCachePatches(t *testing.T) {
 		}
 	}
 }
+
+// adversarial returns a ConnectedGNM topology with an invalid schedule: every
+// arc uncolored (jam false) or every arc in slot 1 (jam true).
+func adversarial(n, m int, seed int64, jam bool) (*graph.Graph, coloring.Assignment) {
+	g := graph.ConnectedGNM(n, m, rand.New(rand.NewSource(seed)))
+	as := coloring.NewAssignment(g)
+	if jam {
+		for _, a := range g.ArcsView() {
+			as[a] = 1
+		}
+	}
+	return g, as
+}
+
+// TestNewHealingRepairsAdversarialStart: a healing updater's first batch
+// dirties every arc of the post-delta topology and leaves a valid schedule;
+// later batches are back to the local dirty set.
+func TestNewHealingRepairsAdversarialStart(t *testing.T) {
+	for _, jam := range []bool{false, true} {
+		g, as := adversarial(60, 80, 41, jam)
+		up := NewHealing(g, as)
+		u, v := pickAbsentEdge(up.Graph())
+		rep, err := up.Apply([]dynamic.Event{{Kind: dynamic.LinkUp, U: u, V: v}})
+		if err != nil {
+			t.Fatalf("jam=%v: %v", jam, err)
+		}
+		if viols := coloring.Verify(up.Graph(), up.Assignment()); len(viols) != 0 {
+			t.Fatalf("jam=%v: first batch left %d violations", jam, len(viols))
+		}
+		if all := len(up.Graph().ArcsView()); rep.DirtyArcs != all {
+			t.Errorf("jam=%v: first batch dirtied %d arcs, want all %d", jam, rep.DirtyArcs, all)
+		}
+		if rep.MinUsable >= 1 || rep.Rounds == 0 {
+			t.Errorf("jam=%v: adversarial start repaired for free: %+v", jam, rep)
+		}
+		if up.Slots() != up.Assignment().NumColors() {
+			t.Errorf("jam=%v: tracked frame %d, full scan %d", jam, up.Slots(), up.Assignment().NumColors())
+		}
+		rep, err = up.Apply([]dynamic.Event{{Kind: dynamic.LinkDown, U: u, V: v}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.DirtyArcs != 0 || rep.Rounds != 0 || len(rep.Recolored) != 0 {
+			t.Errorf("jam=%v: healed updater still dirties everything: %+v", jam, rep)
+		}
+	}
+}
+
+// TestNewHealingFailedFirstApplyRollsBack: a first batch that fails
+// validation or repair restores the adversarial state exactly and keeps the
+// heal pending, so the retry still repairs every arc.
+func TestNewHealingFailedFirstApplyRollsBack(t *testing.T) {
+	g, as := adversarial(60, 80, 42, true)
+	up := NewHealing(g, as)
+	before := snapshotUpdater(up)
+	u, v := pickAbsentEdge(up.Graph())
+	batch := []dynamic.Event{{Kind: dynamic.LinkUp, U: u, V: v}}
+
+	if _, err := up.Apply(append(batch, dynamic.Event{Kind: dynamic.LinkUp, U: 2, V: 2})); !errors.Is(err, ErrBadDelta) {
+		t.Fatalf("want ErrBadDelta, got %v", err)
+	}
+	if err := before.diff(up); err != nil {
+		t.Fatalf("validation failure: %v", err)
+	}
+
+	injected := errors.New("injected repair failure")
+	up.stabilize = func(g *graph.Graph, as coloring.Assignment, dirty map[graph.Arc]bool) (int, float64, error) {
+		if _, _, err := coloring.Stabilize(g, as, dirty); err != nil {
+			return 0, 1, err
+		}
+		return 0, 1, injected
+	}
+	if _, err := up.Apply(batch); !errors.Is(err, injected) {
+		t.Fatalf("want injected failure, got %v", err)
+	}
+	if err := before.diff(up); err != nil {
+		t.Fatalf("repair failure: %v", err)
+	}
+
+	up.stabilize = nil
+	rep, err := up.Apply(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if all := len(up.Graph().ArcsView()); rep.DirtyArcs != all {
+		t.Errorf("retry dirtied %d arcs, want all %d", rep.DirtyArcs, all)
+	}
+	if viols := coloring.Verify(up.Graph(), up.Assignment()); len(viols) != 0 {
+		t.Fatalf("retry left %d violations", len(viols))
+	}
+}

@@ -1,18 +1,17 @@
-// Package incr is the incremental rescheduling service core: where
-// internal/dynamic repairs one topology event at a time and internal/soak
-// drives an unbounded simulated churn stream, this package accepts *client*
-// deltas — a batch of dynamic.Events — against a long-lived schedule and
-// answers with the minimal recolor set, the repair-round count, and the new
-// frame length. It is the engine behind fdlspd's POST /v1/session API, the
-// bridge from "simulator" to "service" the roadmap names.
+// Package incr is the one way this repository maintains a live schedule
+// under topology churn: every caller that changes the topology of a
+// scheduled network — fdlspd's POST /v1/session API, the churn soak
+// (internal/soak), the ext-churn and ext-rejoin experiments and the facade —
+// hands an Updater a batch of dynamic.Events, and the Updater answers with
+// the minimal recolor set, the repair-round count and the new frame length.
 //
 // Per batch the Updater applies the topology delta, derives the dirty arc
 // set on the warm distance-2 conflict cache (the new arcs plus every
 // existing pair the new adjacency makes clash — the paper's locality
 // argument guarantees nothing outside the 2-hop neighborhood of a change
-// can need a new slot), and repairs it with coloring.Stabilize, the same
-// distributed-round rule the churn soak proves the ≤|dirty| convergence
-// bound for. Batches are atomic: every event is validated as it applies and
+// can need a new slot), and repairs it with coloring.Stabilize, the
+// distributed-round rule with the ≤|dirty| convergence bound (DESIGN.md
+// §11). Batches are atomic: every event is validated as it applies and
 // a failed batch rolls the topology and schedule back to their pre-batch
 // state, so a client error (ErrBadDelta) never corrupts the session.
 //
@@ -92,6 +91,9 @@ type Updater struct {
 	colorCount map[int]int
 	frame      int
 
+	// heal makes the next successful Apply dirty every arc (see NewHealing).
+	heal bool
+
 	// stabilize is the repair rule; nil means coloring.Stabilize. Tests
 	// inject failures here to exercise the repair-failure rollback path.
 	stabilize func(*graph.Graph, coloring.Assignment, map[graph.Arc]bool) (int, float64, error)
@@ -103,6 +105,22 @@ func New(g *graph.Graph, as coloring.Assignment) (*Updater, error) {
 	if viols := coloring.Verify(g, as); len(viols) != 0 {
 		return nil, fmt.Errorf("incr: initial schedule invalid: %v", viols[0])
 	}
+	return wrap(g, as), nil
+}
+
+// NewHealing wraps a schedule that may be incomplete or conflicting — an
+// adversarial start such as every arc uncolored or every arc in one slot.
+// The next successful Apply treats every arc of the post-delta topology as
+// dirty, so it returns a valid schedule and its report counts the whole
+// topology in DirtyArcs; a failed first Apply rolls back and leaves that
+// pending for the retry.
+func NewHealing(g *graph.Graph, as coloring.Assignment) *Updater {
+	up := wrap(g, as)
+	up.heal = true
+	return up
+}
+
+func wrap(g *graph.Graph, as coloring.Assignment) *Updater {
 	up := &Updater{g: g.Clone(), as: as.Clone(), colorCount: make(map[int]int)}
 	for _, c := range up.as {
 		if c != coloring.None {
@@ -112,7 +130,7 @@ func New(g *graph.Graph, as coloring.Assignment) (*Updater, error) {
 			}
 		}
 	}
-	return up, nil
+	return up
 }
 
 // Graph returns the current topology (read-only by convention).
@@ -163,8 +181,15 @@ func (up *Updater) Apply(events []dynamic.Event) (*Report, error) {
 	// pairs whose both members appear in the new arcs' conflict sets, so
 	// auditing those colored neighbors covers every violation the delta
 	// introduced (link removals only remove conflicts and need no repair).
+	// A healing updater's first batch dirties every arc instead.
 	touched := sortedArcs(oldColor)
 	dirty := make(map[graph.Arc]bool)
+	if up.heal {
+		for _, a := range up.g.ArcsView() {
+			dirty[a] = true
+			firstTouch(oldColor, up.as, a)
+		}
+	}
 	var added []graph.Arc
 	for _, a := range touched {
 		if up.g.HasEdge(a.From, a.To) {
@@ -208,6 +233,7 @@ func (up *Updater) Apply(events []dynamic.Event) (*Report, error) {
 		return nil, fmt.Errorf("incr: repair failed: %w", err)
 	}
 	up.updates++
+	up.heal = false
 	rep.Rounds = rounds
 	rep.MinUsable = minUsable
 	for _, a := range sortedArcs(oldColor) {

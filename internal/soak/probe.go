@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"fdlsp/internal/core"
+	"fdlsp/internal/incr"
 )
 
 // ProbeReport is the outcome of one protocol-level reschedule: the soak
@@ -31,8 +32,8 @@ type ProbeReport struct {
 // crash/restart churn *inside* the protocol run, on top of message loss —
 // so the probe exercises exactly the regime the soak exists to measure:
 // convergence while the network keeps failing. All outages are bounded, so
-// every node rejoins and the schedule covers the whole live topology, which
-// the epoch's verifier then re-checks.
+// every node rejoins and the schedule covers the whole live topology; the
+// adopted schedule is verified as a fresh updater wraps it.
 func (s *Soak) engineProbe(e int64) (ProbeReport, error) {
 	rep := ProbeReport{Epoch: e, ConvergedAt: -1}
 	live := make([]bool, s.cfg.N)
@@ -40,8 +41,9 @@ func (s *Soak) engineProbe(e int64) (ProbeReport, error) {
 		live[v] = s.live(v, e)
 	}
 	plan := s.stream.Plan(e, s.cfg.N, live, s.cfg.ProbeHorizon)
-	target := len(s.g.ArcsView())
-	res, err := core.DistMIS(s.g, core.Options{
+	g := s.up.Graph()
+	target := len(g.ArcsView())
+	res, err := core.DistMIS(g, core.Options{
 		Seed:       s.cfg.Seed ^ (e+1)*0x9E3779B9,
 		Fault:      plan,
 		Metrics:    s.cfg.Metrics,
@@ -59,7 +61,11 @@ func (s *Soak) engineProbe(e int64) (ProbeReport, error) {
 	if len(res.Crashed) != 0 {
 		return rep, fmt.Errorf("soak: engine probe at epoch %d lost nodes %v (outages are bounded)", e, res.Crashed)
 	}
-	s.as = res.Assignment
+	up, err := incr.New(g, res.Assignment)
+	if err != nil {
+		return rep, fmt.Errorf("soak: engine probe at epoch %d: %w", e, err)
+	}
+	s.up = up
 	rep.Rounds = res.Stats.Rounds
 	rep.Messages = res.Stats.Messages
 	rep.Returned = len(res.Rejoin.Returned)

@@ -10,12 +10,14 @@
 // even start from an adversarial coloring (all arcs uncolored, or all arcs
 // jammed into slot 1).
 //
-// Each epoch the driver draws a deterministic batch of perturbations,
-// applies the resulting topology delta, and repairs the schedule with a
-// distributed-round local rule (see stabilize.go) whose round count is the
-// epoch's convergence time. While repair runs the driver tracks the usable
-// fraction of the TDMA frame — transmissions whose slot actually fires —
-// and the residual conflict count, publishing everything through
+// Each epoch the soak draws a deterministic batch of perturbations and
+// hands the resulting topology delta to the live schedule's incr.Updater —
+// the repository's one maintenance path — as a batch of link events. The
+// updater repairs the schedule with the distributed-round local rule of
+// coloring.Stabilize, whose round count is the epoch's convergence time,
+// and reports the worst usable fraction of the TDMA frame — transmissions
+// whose slot actually fires — seen while repair ran. The soak re-verifies
+// the whole schedule every epoch and publishes everything through
 // fdlsp_soak_* metric families. Periodically it hands the live topology
 // back to the full DistMIS protocol under a lossy, crash-laden engine run
 // (sim.FaultStream materializes the window) and adopts the fresh schedule,
@@ -33,8 +35,10 @@ import (
 	"fmt"
 
 	"fdlsp/internal/coloring"
+	"fdlsp/internal/dynamic"
 	"fdlsp/internal/geom"
 	"fdlsp/internal/graph"
+	"fdlsp/internal/incr"
 	"fdlsp/internal/obs"
 	"fdlsp/internal/sim"
 )
@@ -134,6 +138,30 @@ type Summary struct {
 	FinalLive          int
 }
 
+// Perturbations returns the total churn the epoch applied.
+func (r EpochReport) Perturbations() int {
+	return r.Crashes + r.Restarts + r.Leaves + r.Joins + r.Moves + r.LinksUp + r.LinksDown
+}
+
+// Add folds one epoch's report into the summary. Start from
+// Summary{MinUsable: 1}.
+func (s *Summary) Add(rep EpochReport) {
+	s.Epochs++
+	s.TotalPerturbations += int64(rep.Perturbations())
+	if rep.ConvergenceRounds > s.MaxConvergence {
+		s.MaxConvergence = rep.ConvergenceRounds
+	}
+	s.SumConvergence += int64(rep.ConvergenceRounds)
+	if rep.MinUsable < s.MinUsable {
+		s.MinUsable = rep.MinUsable
+	}
+	if rep.EngineProbe != nil {
+		s.EngineProbes++
+	}
+	s.FinalSlots = rep.Slots
+	s.FinalLive = rep.Live
+}
+
 // MeanConvergence returns the average convergence time per epoch.
 func (s Summary) MeanConvergence() float64 {
 	if s.Epochs == 0 {
@@ -150,10 +178,9 @@ type Soak struct {
 	mob *geom.Mobility
 
 	pts   []geom.Point
-	g     *graph.Graph // current topology: live-node links only
-	as    coloring.Assignment
-	down  []int64 // node is crashed until this epoch
-	away  []int64 // node has left until this epoch
+	up    *incr.Updater // live-node links and their schedule
+	down  []int64       // node is crashed until this epoch
+	away  []int64       // node has left until this epoch
 	epoch int64
 
 	stream *sim.FaultStream
@@ -236,27 +263,34 @@ func New(cfg Config) (*Soak, error) {
 			Y: s.hash01(-1, v, 1) * cfg.Side,
 		}
 	}
-	s.g = s.mob.GraphAt(s.pts, 0)
+	g := s.mob.GraphAt(s.pts, 0)
 
+	// An adversarial start heals in epoch 0: the updater's first batch
+	// dirties every arc.
 	switch cfg.Init {
 	case InitGreedy:
-		s.as = coloring.Greedy(s.g, nil)
-	case InitZero:
-		s.as = coloring.NewAssignment(s.g)
-	case InitConflict:
-		s.as = coloring.NewAssignment(s.g)
-		for _, a := range s.g.ArcsView() {
-			s.as[a] = 1
+		up, err := incr.New(g, coloring.Greedy(g, nil))
+		if err != nil {
+			return nil, err
 		}
+		s.up = up
+	case InitZero:
+		s.up = incr.NewHealing(g, coloring.NewAssignment(g))
+	case InitConflict:
+		as := coloring.NewAssignment(g)
+		for _, a := range g.ArcsView() {
+			as[a] = 1
+		}
+		s.up = incr.NewHealing(g, as)
 	}
 	return s, nil
 }
 
 // Graph returns the current live topology (read-only by convention).
-func (s *Soak) Graph() *graph.Graph { return s.g }
+func (s *Soak) Graph() *graph.Graph { return s.up.Graph() }
 
 // Assignment returns the current schedule (read-only by convention).
-func (s *Soak) Assignment() coloring.Assignment { return s.as }
+func (s *Soak) Assignment() coloring.Assignment { return s.up.Assignment() }
 
 // Epoch returns the number of epochs completed so far.
 func (s *Soak) Epoch() int64 { return s.epoch }
@@ -331,71 +365,39 @@ func (s *Soak) Step() (EpochReport, error) {
 
 	// 3. Topology delta: desired = position-derived links between live
 	// nodes; gray-zone coins frozen (salt 0) so link churn tracks movement.
+	// The delta goes to the updater as one batch, removals first.
+	g := s.up.Graph()
 	desired := s.mob.GraphAt(s.pts, 0)
-	var gone []graph.Edge
-	for _, ed := range s.g.Edges() {
+	var batch []dynamic.Event
+	for _, ed := range g.Edges() {
 		if !desired.HasEdge(ed.U, ed.V) || !s.live(ed.U, e) || !s.live(ed.V, e) {
-			gone = append(gone, ed)
+			batch = append(batch, dynamic.Event{Kind: dynamic.LinkDown, U: ed.U, V: ed.V})
 		}
 	}
-	var fresh []graph.Edge
+	rep.LinksDown = len(batch)
 	for _, ed := range desired.Edges() {
-		if s.live(ed.U, e) && s.live(ed.V, e) && !s.g.HasEdge(ed.U, ed.V) {
-			fresh = append(fresh, ed)
+		if s.live(ed.U, e) && s.live(ed.V, e) && !g.HasEdge(ed.U, ed.V) {
+			batch = append(batch, dynamic.Event{Kind: dynamic.LinkUp, U: ed.U, V: ed.V})
 		}
 	}
-	for _, ed := range gone {
-		s.g.RemoveEdge(ed.U, ed.V)
-		delete(s.as, graph.Arc{From: ed.U, To: ed.V})
-		delete(s.as, graph.Arc{From: ed.V, To: ed.U})
-	}
-	newArcs := make([]graph.Arc, 0, 2*len(fresh))
-	for _, ed := range fresh {
-		s.g.AddEdge(ed.U, ed.V)
-		newArcs = append(newArcs, graph.Arc{From: ed.U, To: ed.V}, graph.Arc{From: ed.V, To: ed.U})
-	}
-	rep.LinksDown, rep.LinksUp = len(gone), len(fresh)
+	rep.LinksUp = len(batch) - rep.LinksDown
 
-	// 4. Dirty set: the new arcs plus every existing arc their adjacency
-	// now clashes with. A link insertion can only violate pairs whose both
-	// members share an endpoint with the new edge (they appear in the new
-	// arcs' conflict sets), so this covers every violation the delta
-	// introduced; on epoch 0 an adversarial init dirties everything.
-	dirty := make(map[graph.Arc]bool)
-	if e == 0 && s.cfg.Init != InitGreedy {
-		for _, a := range s.g.ArcsView() {
-			dirty[a] = true
-		}
-	}
-	for _, a := range newArcs {
-		dirty[a] = true
-	}
-	for _, a := range newArcs {
-		for _, b := range coloring.ConflictingArcs(s.g, a) {
-			if c := s.as[b]; c != coloring.None {
-				for _, w := range coloring.AuditArcs(s.g, s.as, []graph.Arc{b}) {
-					dirty[w.A] = true
-					dirty[w.B] = true
-				}
-			}
-		}
-	}
-	rep.DirtyArcs = len(dirty)
-
-	// 5. Stabilize in measured distributed rounds.
-	rounds, minUsable, err := s.stabilize(dirty)
+	// 4. Repair in measured distributed rounds, then re-verify the whole
+	// schedule.
+	ur, err := s.up.Apply(batch)
 	if err != nil {
-		return rep, err
+		return rep, fmt.Errorf("soak: epoch %d: %w", e, err)
 	}
-	rep.ConvergenceRounds = rounds
-	rep.MinUsable = minUsable
-	rep.Usable = coloring.UsableFraction(s.g, s.as)
-	rep.Residual = len(coloring.Verify(s.g, s.as))
+	rep.DirtyArcs = ur.DirtyArcs
+	rep.ConvergenceRounds = ur.Rounds
+	rep.MinUsable = ur.MinUsable
+	rep.Usable = coloring.UsableFraction(g, s.up.Assignment())
+	rep.Residual = len(coloring.Verify(g, s.up.Assignment()))
 	if rep.Residual != 0 {
 		return rep, fmt.Errorf("soak: epoch %d left %d residual conflicts", e, rep.Residual)
 	}
 
-	// 6. Periodic protocol-level reschedule under loss and engine churn.
+	// 5. Periodic protocol-level reschedule under loss and engine churn.
 	if s.cfg.ProbeEvery > 0 && e > 0 && e%s.cfg.ProbeEvery == 0 {
 		pr, err := s.engineProbe(e)
 		if err != nil {
@@ -409,7 +411,7 @@ func (s *Soak) Step() (EpochReport, error) {
 			rep.Live++
 		}
 	}
-	rep.Slots = s.as.NumColors()
+	rep.Slots = s.up.Slots()
 	s.epoch++
 	s.m.publish(rep)
 	return rep, nil
@@ -423,21 +425,7 @@ func (s *Soak) Run(epochs int) (Summary, error) {
 		if err != nil {
 			return sum, err
 		}
-		sum.Epochs++
-		sum.TotalPerturbations += int64(rep.Crashes + rep.Restarts + rep.Leaves +
-			rep.Joins + rep.Moves + rep.LinksUp + rep.LinksDown)
-		if rep.ConvergenceRounds > sum.MaxConvergence {
-			sum.MaxConvergence = rep.ConvergenceRounds
-		}
-		sum.SumConvergence += int64(rep.ConvergenceRounds)
-		if rep.MinUsable < sum.MinUsable {
-			sum.MinUsable = rep.MinUsable
-		}
-		if rep.EngineProbe != nil {
-			sum.EngineProbes++
-		}
-		sum.FinalSlots = rep.Slots
-		sum.FinalLive = rep.Live
+		sum.Add(rep)
 	}
 	return sum, nil
 }
