@@ -34,7 +34,7 @@ func AuditArcs(g *graph.Graph, as Assignment, arcs []graph.Arc) []Violation {
 				continue
 			}
 			v := Violation{A: a, B: b, Color: c}
-			if less(b, a) {
+			if graph.CompareArcs(b, a) < 0 {
 				v.A, v.B = b, a
 			}
 			if !seen[v] {
@@ -83,12 +83,4 @@ func UsableFraction(g *graph.Graph, as Assignment) float64 {
 		return 1
 	}
 	return float64(usable) / float64(total)
-}
-
-// less orders arcs lexicographically by (From, To).
-func less(a, b graph.Arc) bool {
-	if a.From != b.From {
-		return a.From < b.From
-	}
-	return a.To < b.To
 }

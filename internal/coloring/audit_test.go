@@ -3,7 +3,7 @@ package coloring
 import (
 	"math/rand"
 	"reflect"
-	"sort"
+	"slices"
 	"testing"
 
 	"fdlsp/internal/graph"
@@ -13,20 +13,19 @@ import (
 func normalize(viols []Violation) []Violation {
 	out := make([]Violation, 0, len(viols))
 	for _, v := range viols {
-		if less(v.B, v.A) {
+		if graph.CompareArcs(v.B, v.A) < 0 {
 			v.A, v.B = v.B, v.A
 		}
 		out = append(out, v)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.A != b.A {
-			return less(a.A, b.A)
+	slices.SortFunc(out, func(a, b Violation) int {
+		if c := graph.CompareArcs(a.A, b.A); c != 0 {
+			return c
 		}
-		if a.B != b.B {
-			return less(a.B, b.B)
+		if c := graph.CompareArcs(a.B, b.B); c != 0 {
+			return c
 		}
-		return a.Color < b.Color
+		return a.Color - b.Color
 	})
 	keep := out[:0]
 	for i, v := range out {

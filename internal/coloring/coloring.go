@@ -11,6 +11,7 @@ package coloring
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -59,6 +60,7 @@ type conflictCache struct {
 	epoch     atomic.Uint64 // graph.MutEpoch the rows are synced to
 	mu        sync.Mutex    // serializes sync (patch or rebuild)
 
+	rows        rowBuilder    // row construction scratch; used under mu once published
 	builds      atomic.Uint64 // full row-set (re)builds
 	patches     atomic.Uint64 // incremental syncs applied
 	patchedArcs atomic.Uint64 // rows rewritten by incremental syncs
@@ -96,19 +98,20 @@ func newConflictCache(g *graph.Graph) *conflictCache {
 func (c *conflictCache) rebuild(g *graph.Graph) {
 	arcs := g.ArcsView()
 	conflicts := make([][]graph.Arc, g.ArcIDBound())
+	c.rows.fit(g.N())
 	var flat []graph.Arc
-	var buf []graph.Arc
-	spans := make([][2]int, len(arcs))
+	ends := make([]int, len(arcs))
 	for i, a := range arcs {
-		buf = appendConflicts(g, a, buf[:0])
-		spans[i] = [2]int{len(flat), len(flat) + len(buf)}
-		flat = append(flat, buf...)
+		flat = c.rows.appendRow(g, a, flat)
+		ends[i] = len(flat)
 	}
 	// Rows are carved out of flat only once it stops growing, so the
 	// subslices alias the final backing array.
+	start := 0
 	for i, a := range arcs {
 		id, _ := g.ArcIndex(a)
-		conflicts[id] = flat[spans[i][0]:spans[i][1]:spans[i][1]]
+		conflicts[id] = flat[start:ends[i]:ends[i]]
+		start = ends[i]
 	}
 	c.conflicts = conflicts
 	c.builds.Add(1)
@@ -146,6 +149,7 @@ func (c *conflictCache) sync(g *graph.Graph) {
 // incident to S = ∪ {u_i,v_i} ∪ N(u_i) ∪ N(v_i) (N at the final topology)
 // rewrites a superset of the stale rows, each from current adjacency.
 func (c *conflictCache) patch(g *graph.Graph, ds []graph.EdgeDelta) {
+	c.rows.fit(g.N())
 	if bound := g.ArcIDBound(); bound > len(c.conflicts) {
 		grown := make([][]graph.Arc, bound)
 		copy(grown, c.conflicts)
@@ -180,8 +184,7 @@ func (c *conflictCache) patch(g *graph.Graph, ds []graph.EdgeDelta) {
 				continue
 			}
 			touched[int32(id)] = struct{}{}
-			row := appendConflicts(g, a, nil)
-			c.conflicts[id] = row[:len(row):len(row)]
+			c.conflicts[id] = c.rows.row(g, a)
 		}
 	}
 	c.patches.Add(1)
@@ -208,32 +211,113 @@ func CacheStats(g *graph.Graph) CacheStatsSnapshot {
 	}
 }
 
-// appendConflicts appends the sorted conflict set of a to dst. It gathers
-// the Lemma 6 candidates (arcs touching a's endpoints, out-arcs of a.To's
-// neighbors, in-arcs of a.From's neighbors), then sorts and dedups in place.
-func appendConflicts(g *graph.Graph, a graph.Arc, dst []graph.Arc) []graph.Arc {
-	base := len(dst)
-	dst = append(dst, g.IncidentArcsView(a.From)...)
-	dst = append(dst, g.IncidentArcsView(a.To)...)
-	// Out-arcs from neighbors of a.To (their transmissions interfere at a.To).
-	for _, w := range g.NeighborsView(a.To) {
-		dst = append(dst, g.OutArcsView(w)...)
+// rowBuilder computes conflict rows in (From, To) order without sorting
+// arcs. By Conflict, the row of a = (f,t) is every arc (x,y) ≠ a with
+//
+//	x ∈ T = {f,t} ∪ N(t)   (shares an endpoint, or x is heard at t), or
+//	y ∈ H = {f,t} ∪ N(f)   (shares an endpoint, or f is heard at y).
+//
+// Every such arc has its tail in T ∪ N(H), so the builder collects those
+// tails once — deduplicated with generation stamps, then sorted as ints —
+// and walks each tail's out-row, which the topology cache keeps sorted by
+// head: whole for a tail in T, filtered by "head ∈ H" otherwise. Tails in
+// increasing order with heads increasing within each tail is exactly the
+// (From, To) order. Membership is one stamp read per arc: no map, no
+// binary search, no arc comparison.
+//
+// A builder is single-threaded scratch: the conflict cache owns one and
+// uses it under its mutex; the hypothetical-arc path of ConflictingArcs
+// borrows one from builderPool.
+type rowBuilder struct {
+	tail  []uint32 // per node: gen-1 once collected into T, gen once collected from N(H)
+	head  []uint32 // per node: gen-1 while in H
+	gen   uint32   // stamp of the row being built; advances by 2 per row
+	tails []int
+	buf   []graph.Arc
+}
+
+var builderPool = sync.Pool{New: func() any { return new(rowBuilder) }}
+
+// fit sizes the stamp arrays for an n-node graph.
+func (rb *rowBuilder) fit(n int) {
+	if len(rb.tail) < n {
+		rb.tail = make([]uint32, n)
+		rb.head = make([]uint32, n)
+		rb.gen = 0
 	}
-	// In-arcs to neighbors of a.From (a.From's transmission interferes there).
-	for _, w := range g.NeighborsView(a.From) {
-		dst = append(dst, g.InArcsView(w)...)
+}
+
+// appendRow appends the sorted conflict row of a to dst. The cost is one
+// visit per neighbor of each node in {f} ∪ N(f) (collecting N(H)), one per
+// out-arc of each collected tail (emission), and an int sort of the tails —
+// O(Σ_{y∈H} deg y + Σ_{x∈T∪N(H)} deg x + |tails|·log|tails|).
+func (rb *rowBuilder) appendRow(g *graph.Graph, a graph.Arc, dst []graph.Arc) []graph.Arc {
+	if rb.gen > math.MaxUint32-2 {
+		clear(rb.tail)
+		clear(rb.head)
+		rb.gen = 0
 	}
-	cand := dst[base:]
-	sortArcs(cand)
-	keep := 0
-	for i, b := range cand {
-		if b == a || (i > 0 && b == cand[i-1]) {
+	rb.gen += 2
+	inT, inN := rb.gen-1, rb.gen
+	f, t := a.From, a.To
+	nf, nt := g.NeighborsView(f), g.NeighborsView(t)
+
+	rb.tails = rb.tails[:0]
+	rb.collect(inT, inT, f)
+	rb.collect(inT, inT, t)
+	rb.collect(inT, inT, nt...)
+	rb.head[f], rb.head[t] = inT, inT
+	for _, y := range nf {
+		rb.head[y] = inT
+	}
+	// Tails of arcs into H. N(t) ⊆ T already, so t's neighbors are skipped.
+	rb.collect(inT, inN, nf...)
+	for _, y := range nf {
+		if y != t {
+			rb.collect(inT, inN, g.NeighborsView(y)...)
+		}
+	}
+	slices.Sort(rb.tails)
+
+	for _, x := range rb.tails {
+		out := g.OutArcsView(x)
+		if rb.tail[x] == inT {
+			for _, b := range out {
+				if b != a {
+					dst = append(dst, b)
+				}
+			}
 			continue
 		}
-		cand[keep] = b
-		keep++
+		for _, b := range out {
+			if rb.head[b.To] == inT {
+				dst = append(dst, b)
+			}
+		}
 	}
-	return dst[:base+keep]
+	return dst
+}
+
+// collect stamps each not-yet-collected node of xs with s and records it as
+// a tail of the row whose first stamp is inT.
+func (rb *rowBuilder) collect(inT, s uint32, xs ...int) {
+	for _, x := range xs {
+		if rb.tail[x] < inT {
+			rb.tail[x] = s
+			rb.tails = append(rb.tails, x)
+		}
+	}
+}
+
+// row returns a's conflict row as an exact-size copy (nil when empty).
+func (rb *rowBuilder) row(g *graph.Graph, a graph.Arc) []graph.Arc {
+	rb.buf = rb.appendRow(g, a, rb.buf[:0])
+	if len(rb.buf) == 0 {
+		return nil
+	}
+	row := make([]graph.Arc, len(rb.buf))
+	copy(row, rb.buf)
+	return row
 }
 
 // ConflictingArcs returns every arc of g that conflicts with a, sorted. Per
@@ -249,20 +333,11 @@ func ConflictingArcs(g *graph.Graph, a graph.Arc) []graph.Arc {
 	}
 	// a is not an arc of g (callers probing hypothetical links): compute a
 	// fresh set without touching the cache.
-	return appendConflicts(g, a, nil)
-}
-
-// sortArcs orders arcs by (From, To). slices.SortFunc rather than
-// sort.Slice: the reflection-based swapper moving 16-byte Arc values was
-// ~70% of a conflict-row recomputation under profile, and row recomputation
-// is the whole cost of a cache patch.
-func sortArcs(arcs []graph.Arc) {
-	slices.SortFunc(arcs, func(a, b graph.Arc) int {
-		if a.From != b.From {
-			return a.From - b.From
-		}
-		return a.To - b.To
-	})
+	rb := builderPool.Get().(*rowBuilder)
+	rb.fit(g.N())
+	row := rb.row(g, a)
+	builderPool.Put(rb)
+	return row
 }
 
 // Assignment maps each arc of the bi-directed graph to a color (time slot).

@@ -10,9 +10,9 @@ import (
 
 // TestConflictCachePatchMatchesRebuild drives a random mutation stream
 // through a warm conflict cache and, after every flip, compares each live
-// arc's patched conflict row against a cold rebuild on an identical graph.
-// This is the package-local half of the conformance patch-vs-rebuild
-// oracle.
+// arc's patched conflict row against a cold rebuild on an identical graph
+// and against the sort-based reference builder. This is the package-local
+// half of the conformance patch-vs-rebuild oracle.
 func TestConflictCachePatchMatchesRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	const n = 14
@@ -46,6 +46,10 @@ func TestConflictCachePatchMatchesRebuild(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("step %d: conflict row of %v diverges\n patched: %v\n rebuilt: %v",
 					step, a, got, want)
+			}
+			if ref := referenceRow(g, a); !reflect.DeepEqual(got, ref) {
+				t.Fatalf("step %d: conflict row of %v diverges\n patched: %v\n reference: %v",
+					step, a, got, ref)
 			}
 		}
 	}
@@ -98,7 +102,7 @@ func TestConflictCacheRebuildsAfterJournalTruncation(t *testing.T) {
 	}
 	for _, a := range g.ArcsView() {
 		got := ConflictingArcs(g, a)
-		want := appendConflicts(g, a, nil)
+		want := referenceRow(g, a)
 		if !reflect.DeepEqual(append([]graph.Arc{}, got...), want) {
 			t.Fatalf("row of %v wrong after truncation fallback", a)
 		}

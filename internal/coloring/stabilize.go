@@ -2,7 +2,7 @@ package coloring
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"fdlsp/internal/graph"
 )
@@ -34,10 +34,12 @@ import (
 // maintained incrementally and sparsely: the tracker audits only the dirty
 // set at startup (sound because every unusable arc is dirty — see
 // usableTracker), then per-round updates are confined to the actors and
-// their conflict sets — only an arc whose color changed, or whose conflict
-// set contains such an arc, can change usable status. Repair therefore
-// costs O(|dirty|·Δ²) to start and O(|actors|·Δ⁴) per round, never a term
-// proportional to the whole graph's arc count.
+// the arcs of their conflict sets that hold an actor's old or new slot —
+// only an arc whose color changed, or one whose conflict set gained or
+// lost its own slot, can change usable status (see usableTracker.moved).
+// Repair therefore costs O(|dirty|·Δ²) to start and O(|actors|·Δ²) per
+// round plus Δ² per re-checked arc, never a term proportional to the whole
+// graph's arc count.
 func Stabilize(g *graph.Graph, as Assignment, dirty map[graph.Arc]bool) (rounds int, minUsable float64, err error) {
 	minUsable = 1
 	if len(dirty) == 0 {
@@ -48,10 +50,12 @@ func Stabilize(g *graph.Graph, as Assignment, dirty map[graph.Arc]bool) (rounds 
 	for a := range dirty {
 		work = append(work, a)
 	}
-	sort.Slice(work, func(i, j int) bool { return less(work[i], work[j]) })
+	slices.SortFunc(work, graph.CompareArcs)
 
 	ut := newUsableTracker(g, as, work)
 	budget := 2*len(work) + 8
+	var actors []graph.Arc
+	var olds []int
 	for {
 		// Re-filter: an arc is still dirty if uncolored or clashing.
 		live := work[:0]
@@ -80,24 +84,23 @@ func Stabilize(g *graph.Graph, as Assignment, dirty map[graph.Arc]bool) (rounds 
 		// Select the round's actors against the frozen dirty set first, then
 		// apply: selection must not observe earlier actors of the same round
 		// (all sensors decide simultaneously on the previous round's state).
-		actors := make([]graph.Arc, 0, len(work))
+		actors, olds = actors[:0], olds[:0]
 		for _, a := range work {
 			if actsThisRound(g, a, dirty) {
 				actors = append(actors, a)
 			}
 		}
 		for _, a := range actors {
+			olds = append(olds, as[a])
 			delete(as, a)
-			AssignGreedyLocal(g, as, []graph.Arc{a})
+			as.Set(a, smallestFeasible(g, as, a))
 			dirty[a] = false
 		}
-		// Incremental usable maintenance: only the actors and the arcs in
-		// their conflict sets can have changed status this round.
-		for _, a := range actors {
-			ut.recheck(a)
-			for _, b := range ConflictingArcs(g, a) {
-				ut.recheck(b)
-			}
+		// Incremental usable maintenance: only the actors, and the arcs of
+		// their conflict sets sitting on an actor's old or new slot, can
+		// have changed status this round.
+		for i, a := range actors {
+			ut.moved(a, olds[i])
 		}
 	}
 }
@@ -121,7 +124,7 @@ func arcDirty(g *graph.Graph, as Assignment, a graph.Arc) bool {
 // dirty arc conflicts with it.
 func actsThisRound(g *graph.Graph, a graph.Arc, dirty map[graph.Arc]bool) bool {
 	for _, b := range ConflictingArcs(g, a) {
-		if dirty[b] && less(b, a) {
+		if dirty[b] && graph.CompareArcs(b, a) < 0 {
 			return false
 		}
 	}
@@ -136,8 +139,9 @@ func actsThisRound(g *graph.Graph, a graph.Arc, dirty map[graph.Arc]bool) bool {
 // unusable AND dirty, so unusable ⊆ dirty) — which makes startup
 // O(|dirty|·Δ²) instead of the O(arcs·Δ²) full audit plus O(arcs)
 // allocation the tracker used to pay. fraction is exactly UsableFraction
-// (same integer counts, same division). recheck re-derives one arc's status
-// after its color, or a conflicting arc's color, changed.
+// (same integer counts, same division). moved re-derives the status of an
+// arc whose color changed and of the conflicting arcs that change can
+// affect; recheck re-derives one arc's status.
 type usableTracker struct {
 	g        *graph.Graph
 	as       Assignment
@@ -173,6 +177,23 @@ func arcUsable(g *graph.Graph, as Assignment, a graph.Arc) bool {
 		}
 	}
 	return true
+}
+
+// moved re-derives usable status after actor a went from slot old to its
+// current slot (either may be None). a itself is re-checked, and a
+// conflicting arc b only when it is colored and holds old or the new slot.
+// Soundness: b's status depends on its own slot and on the slots of its
+// conflict set; conflict is symmetric, so a is in that set, and a's move
+// can only have made a clash on old vanish or one on the new slot appear.
+// An uncolored b stays unusable and a b on any other slot is untouched.
+func (t *usableTracker) moved(a graph.Arc, old int) {
+	t.recheck(a)
+	cur := t.as[a]
+	for _, b := range ConflictingArcs(t.g, a) {
+		if c := t.as[b]; c != None && (c == old || c == cur) {
+			t.recheck(b)
+		}
+	}
 }
 
 func (t *usableTracker) recheck(a graph.Arc) {

@@ -24,7 +24,7 @@ func referenceStabilize(g *graph.Graph, as Assignment, dirty map[graph.Arc]bool)
 	for a := range dirty {
 		work = append(work, a)
 	}
-	sort.Slice(work, func(i, j int) bool { return less(work[i], work[j]) })
+	sort.Slice(work, func(i, j int) bool { return graph.CompareArcs(work[i], work[j]) < 0 })
 
 	budget := 2*len(work) + 8
 	for {
@@ -131,8 +131,10 @@ func TestStabilizeMatchesFullAuditReference(t *testing.T) {
 }
 
 // TestUsableTrackerMatchesUsableArcs drives the tracker through random
-// recolorings and asserts its running count equals a fresh UsableArcs audit
-// after every step.
+// recolorings, each reported with moved — the filtered re-check Stabilize
+// uses — and asserts its running count equals a fresh UsableArcs audit after
+// every step. The stream must cover a recolor to the same slot, to None,
+// into a clash and out of a clash.
 func TestUsableTrackerMatchesUsableArcs(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := graph.ConnectedGNM(20, 45, rng)
@@ -141,27 +143,42 @@ func TestUsableTrackerMatchesUsableArcs(t *testing.T) {
 	// the exact sparse state to start from.
 	ut := newUsableTracker(g, as, nil)
 	arcs := g.ArcsView()
-	for step := 0; step < 300; step++ {
+	var same, toNone, intoClash, outOfClash int
+	for step := 0; step < 400; step++ {
 		a := arcs[rng.Intn(len(arcs))]
-		switch rng.Intn(3) {
+		old := as[a]
+		wasUsable := arcUsable(g, as, a)
+		switch rng.Intn(4) {
 		case 0:
 			delete(as, a)
 		case 1:
 			as[a] = 1 + rng.Intn(4)
-		default:
+		case 2:
 			delete(as, a)
 			AssignGreedyLocal(g, as, []graph.Arc{a})
+		default:
+			// Same slot: the move is a no-op for every arc.
 		}
-		// Incremental maintenance: the changed arc and its conflict set.
-		ut.recheck(a)
-		for _, b := range ConflictingArcs(g, a) {
-			ut.recheck(b)
+		switch cur := as[a]; {
+		case cur == old:
+			same++
+		case cur == None:
+			toNone++
+		case !arcUsable(g, as, a):
+			intoClash++
+		case old != None && !wasUsable:
+			outOfClash++
 		}
+		ut.moved(a, old)
 		wantUsable, wantTotal := UsableArcs(g, as)
 		if ut.usableCount() != wantUsable || ut.total != wantTotal {
 			t.Fatalf("step %d: tracker %d/%d, full audit %d/%d",
 				step, ut.usableCount(), ut.total, wantUsable, wantTotal)
 		}
+	}
+	if same == 0 || toNone == 0 || intoClash == 0 || outOfClash == 0 {
+		t.Fatalf("stream missed a case: same=%d none=%d into=%d out=%d",
+			same, toNone, intoClash, outOfClash)
 	}
 }
 

@@ -2,7 +2,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Arc is a directed communication link: From transmits, To receives. The
@@ -20,6 +20,17 @@ func (a Arc) Edge() Edge { return NormEdge(a.From, a.To) }
 
 // String renders the arc as "u->v".
 func (a Arc) String() string { return fmt.Sprintf("%d->%d", a.From, a.To) }
+
+// CompareArcs is the (From, To) lexicographic order of every sorted arc
+// list the graph hands out and the schedule-maintenance path keeps, in the
+// cmp convention of slices.SortFunc: negative when a sorts first, zero when
+// a == b, positive otherwise.
+func CompareArcs(a, b Arc) int {
+	if a.From != b.From {
+		return a.From - b.From
+	}
+	return a.To - b.To
+}
 
 // cloneArcs returns a freshly allocated copy of a cached arc slice.
 func cloneArcs(src []Arc) []Arc {
@@ -41,12 +52,7 @@ func (g *Graph) Arcs() []Arc {
 			out = append(out, Arc{From: u, To: v})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].From != out[j].From {
-			return out[i].From < out[j].From
-		}
-		return out[i].To < out[j].To
-	})
+	slices.SortFunc(out, CompareArcs)
 	return out
 }
 
@@ -63,12 +69,7 @@ func (g *Graph) IncidentArcs(v int) []Arc {
 	for _, u := range nbrs {
 		out = append(out, Arc{From: v, To: u}, Arc{From: u, To: v})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].From != out[j].From {
-			return out[i].From < out[j].From
-		}
-		return out[i].To < out[j].To
-	})
+	slices.SortFunc(out, CompareArcs)
 	return out
 }
 

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -273,15 +274,8 @@ func removeSortedInt(row []int, x int) []int {
 	return out
 }
 
-func arcLess(a, b Arc) bool {
-	if a.From != b.From {
-		return a.From < b.From
-	}
-	return a.To < b.To
-}
-
 func insertSortedArc(row []Arc, a Arc) []Arc {
-	i := sort.Search(len(row), func(i int) bool { return !arcLess(row[i], a) })
+	i, _ := slices.BinarySearchFunc(row, a, CompareArcs)
 	out := make([]Arc, len(row)+1)
 	copy(out, row[:i])
 	out[i] = a
@@ -290,7 +284,7 @@ func insertSortedArc(row []Arc, a Arc) []Arc {
 }
 
 func removeSortedArc(row []Arc, a Arc) []Arc {
-	i := sort.Search(len(row), func(i int) bool { return !arcLess(row[i], a) })
+	i, _ := slices.BinarySearchFunc(row, a, CompareArcs)
 	out := make([]Arc, len(row)-1)
 	copy(out, row[:i])
 	copy(out[i:], row[i+1:])

@@ -58,7 +58,7 @@ func TestRepairFailureRollsBack(t *testing.T) {
 	injected := errors.New("injected repair failure")
 	for i := 0; i < 25; i++ {
 		batch := []dynamic.Event{
-			randomEvent(up, targetM, rng),
+			randomEvent(up.Graph(), targetM, rng),
 		}
 		// A second event that stays valid relative to the first: flip an
 		// edge untouched by it, found by probing a clone.
@@ -69,7 +69,7 @@ func TestRepairFailureRollsBack(t *testing.T) {
 		if _, err := probe.Apply(batch); err != nil {
 			t.Fatal(err)
 		}
-		batch = append(batch, randomEvent(probe, targetM, rng))
+		batch = append(batch, randomEvent(probe.Graph(), targetM, rng))
 
 		before := snapshotUpdater(up)
 
@@ -251,7 +251,7 @@ func TestFrameTracksNumColors(t *testing.T) {
 		t.Fatalf("fresh updater frame %d, scan %d", up.Slots(), up.Assignment().NumColors())
 	}
 	for i := 0; i < 300; i++ {
-		if _, err := up.Apply([]dynamic.Event{randomEvent(up, targetM, rng)}); err != nil {
+		if _, err := up.Apply([]dynamic.Event{randomEvent(up.Graph(), targetM, rng)}); err != nil {
 			t.Fatalf("update %d: %v", i, err)
 		}
 		if got, want := up.Slots(), up.Assignment().NumColors(); got != want {
@@ -267,11 +267,11 @@ func TestApplyReportsCachePatches(t *testing.T) {
 	targetM := up.Graph().M()
 	rng := rand.New(rand.NewSource(40))
 	// Warm-up batch may pay the initial build.
-	if _, err := up.Apply([]dynamic.Event{randomEvent(up, targetM, rng)}); err != nil {
+	if _, err := up.Apply([]dynamic.Event{randomEvent(up.Graph(), targetM, rng)}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 40; i++ {
-		rep, err := up.Apply([]dynamic.Event{randomEvent(up, targetM, rng)})
+		rep, err := up.Apply([]dynamic.Event{randomEvent(up.Graph(), targetM, rng)})
 		if err != nil {
 			t.Fatalf("update %d: %v", i, err)
 		}

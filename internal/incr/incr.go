@@ -25,7 +25,7 @@ package incr
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"fdlsp/internal/coloring"
 	"fdlsp/internal/dynamic"
@@ -197,20 +197,23 @@ func (up *Updater) Apply(events []dynamic.Event) (*Report, error) {
 			dirty[a] = true
 		}
 	}
+	// One audit for the whole batch: the rows of (u,v) and (v,u) overlap
+	// almost completely, so neighbors are deduplicated before auditing.
+	var audit []graph.Arc
+	queued := make(map[graph.Arc]bool)
 	for _, a := range added {
 		for _, b := range coloring.ConflictingArcs(up.g, a) {
-			if up.as[b] == coloring.None {
-				continue
+			if up.as[b] != coloring.None && !queued[b] {
+				queued[b] = true
+				audit = append(audit, b)
 			}
-			for _, w := range coloring.AuditArcs(up.g, up.as, []graph.Arc{b}) {
-				for _, d := range []graph.Arc{w.A, w.B} {
-					if !dirty[d] {
-						dirty[d] = true
-						if _, ok := oldColor[d]; !ok {
-							oldColor[d] = up.as[d]
-						}
-					}
-				}
+		}
+	}
+	for _, w := range coloring.AuditArcs(up.g, up.as, audit) {
+		for _, d := range [2]graph.Arc{w.A, w.B} {
+			if !dirty[d] {
+				dirty[d] = true
+				firstTouch(oldColor, up.as, d)
 			}
 		}
 	}
@@ -446,11 +449,6 @@ func sortedArcs(m map[graph.Arc]int) []graph.Arc {
 	for a := range m {
 		out = append(out, a)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].From != out[j].From {
-			return out[i].From < out[j].From
-		}
-		return out[i].To < out[j].To
-	})
+	slices.SortFunc(out, graph.CompareArcs)
 	return out
 }

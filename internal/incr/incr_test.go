@@ -22,13 +22,12 @@ func newUpdater(t *testing.T, n, m int, seed int64) *Updater {
 	return up
 }
 
-// randomEvent draws a valid link flip against the updater's current
-// topology, mirroring what a well-behaved client (tracking its own shadow
-// graph) would send. Flips alternate add/remove around the current edge
+// randomEvent draws a valid link flip against topology g (an updater's
+// current graph, or a client's shadow of it), mirroring what a well-behaved
+// client would send. Flips alternate add/remove around the current edge
 // count so the stream holds density flat instead of drifting toward a
 // complete graph; drops keep every endpoint's degree positive.
-func randomEvent(up *Updater, targetM int, rng *rand.Rand) dynamic.Event {
-	g := up.Graph()
+func randomEvent(g *graph.Graph, targetM int, rng *rand.Rand) dynamic.Event {
 	if g.M() > targetM {
 		for {
 			e := g.Edges()[rng.Intn(g.M())]
@@ -55,7 +54,7 @@ func TestApplyKeepsScheduleValid(t *testing.T) {
 	targetM := up.Graph().M()
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 400; i++ {
-		rep, err := up.Apply([]dynamic.Event{randomEvent(up, targetM, rng)})
+		rep, err := up.Apply([]dynamic.Event{randomEvent(up.Graph(), targetM, rng)})
 		if err != nil {
 			t.Fatalf("update %d: %v", i, err)
 		}
@@ -76,7 +75,7 @@ func TestRecolorSetConfinedToTwoHops(t *testing.T) {
 	targetM := up.Graph().M()
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 300; i++ {
-		ev := randomEvent(up, targetM, rng)
+		ev := randomEvent(up.Graph(), targetM, rng)
 		rep, err := up.Apply([]dynamic.Event{ev})
 		if err != nil {
 			t.Fatalf("update %d: %v", i, err)
@@ -111,7 +110,7 @@ func TestRecolorDeltaIsMinimal(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for i := 0; i < 200; i++ {
 		before := up.Assignment().Clone()
-		ev := randomEvent(up, targetM, rng)
+		ev := randomEvent(up.Graph(), targetM, rng)
 		rep, err := up.Apply([]dynamic.Event{ev})
 		if err != nil {
 			t.Fatal(err)
@@ -274,8 +273,8 @@ func TestApplyDeterministic(t *testing.T) {
 	upB, rngB := mk()
 	targetM := upA.Graph().M()
 	for i := 0; i < 200; i++ {
-		evA := randomEvent(upA, targetM, rngA)
-		evB := randomEvent(upB, targetM, rngB)
+		evA := randomEvent(upA.Graph(), targetM, rngA)
+		evB := randomEvent(upB.Graph(), targetM, rngB)
 		if !reflect.DeepEqual(evA, evB) {
 			t.Fatalf("update %d: event streams diverged: %v vs %v", i, evA, evB)
 		}
