@@ -136,6 +136,25 @@ func TestCLIErrors(t *testing.T) {
 	}
 }
 
+// TestInvalidTransportFlags checks that out-of-range -rto and -retries
+// values on a fault run end the command with an error naming the option
+// (main turns it into exit status 1), not a panic out of the engine.
+func TestInvalidTransportFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-gen", "path", "-n", "6", "-algo", "distmis", "-loss", "0.1", "-rto", "-2"}, "negative RTO -2"},
+		{[]string{"-gen", "path", "-n", "6", "-algo", "dfs", "-loss", "0.1", "-retries", "-5"}, "invalid MaxRetries -5"},
+	} {
+		var buf bytes.Buffer
+		err := cliMain(tc.args, &buf)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: error %v, want one containing %q", tc.args, err, tc.want)
+		}
+	}
+}
+
 // TestChurnSnapshotDeterministic reruns a seeded soak with -metrics and
 // requires byte-identical output — the soak's determinism contract at the
 // CLI surface.

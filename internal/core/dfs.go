@@ -51,7 +51,8 @@ type DFSOptions struct {
 	// zero-overhead direct path.
 	Fault *sim.FaultPlan
 	// Transport tunes the ARQ machinery when Fault is set (zero value =
-	// defaults); ignored otherwise.
+	// defaults; invalid values are an error, see transport.Options.Validate);
+	// ignored otherwise.
 	Transport transport.Options
 	// Metrics optionally receives the run's accounting: the per-component
 	// engines publish fdlsp_sim_* families, the driver publishes
@@ -493,6 +494,11 @@ func (nd *dfsNode) pickChild(env *transport.AsyncEnv, cands []int) int {
 // and messages are summed. Under a fault plan each component gets the plan
 // restricted to its own nodes.
 func DFS(g *graph.Graph, opts DFSOptions) (*Result, error) {
+	if opts.Fault != nil {
+		if err := opts.Transport.Validate(); err != nil {
+			return nil, err
+		}
+	}
 	as := coloring.NewAssignment(g)
 	var total sim.Stats
 	var ttot transport.Totals
@@ -675,7 +681,7 @@ func dfsConnected(g *graph.Graph, opts DFSOptions, seed int64) (coloring.Assignm
 		st := eng.Stats()
 		total.Add(st)
 		elapsed += st.Rounds
-		ttot.Add(collectAsync(wraps))
+		ttot.Add(transport.Collect(wraps))
 		progress := mergeCrashed(dead, eng.Crashed())
 		for _, v := range eng.Returned() {
 			if !returnedMask[v] {
@@ -787,15 +793,6 @@ func nextRoot(g *graph.Graph, nodes []*dfsNode, dead []bool) int {
 		}
 	}
 	return root
-}
-
-// collectAsync sums the transport accounting of one epoch's wrappers.
-func collectAsync(wraps []*transport.Async) transport.Totals {
-	per := make([]transport.Counters, len(wraps))
-	for i, w := range wraps {
-		per[i] = w.Counters()
-	}
-	return transport.Collect(per)
 }
 
 // electRoot returns the designated starting node: maximum degree, ties to

@@ -50,7 +50,8 @@ type Options struct {
 	// (SurvivingGraph). nil keeps the original zero-overhead direct path.
 	Fault *sim.FaultPlan
 	// Transport tunes the ARQ machinery when Fault is set (zero value =
-	// defaults); ignored otherwise.
+	// defaults; invalid values are an error, see transport.Options.Validate);
+	// ignored otherwise.
 	Transport transport.Options
 	// Metrics optionally receives the run's accounting: the phase engines
 	// publish fdlsp_sim_* families, the driver publishes fdlsp_core_* and
@@ -151,6 +152,9 @@ func DistMIS(g *graph.Graph, opts Options) (*Result, error) {
 	faulty := opts.Fault != nil
 	var topt *transport.Options
 	if faulty {
+		if err := opts.Transport.Validate(); err != nil {
+			return nil, err
+		}
 		t := opts.Transport
 		topt = &t
 	}
@@ -451,7 +455,7 @@ func (pr *phaseRunner) run(seed int64, plan *sim.FaultPlan, markDown []int, prot
 		return sim.Stats{}, transport.Totals{}, nil, nil, err
 	}
 	pr.elapsed += pr.eng.Stats().Rounds
-	return pr.eng.Stats(), collectSync(pr.wraps), pr.eng.Crashed(), pr.eng.Returned(), nil
+	return pr.eng.Stats(), transport.Collect(pr.wraps), pr.eng.Crashed(), pr.eng.Returned(), nil
 }
 
 // misPhaseNode adapts a Competition to one phase engine. Non-competing
@@ -632,15 +636,6 @@ func (pr *phaseRunner) color(seed int64, selected []bool, variant Variant, dead 
 // peer) pair burns the full retry ladder (~127·RTO physical rounds) once
 // before giving up.
 func faultyMaxRounds(n int) int { return 200_000 + 2_000*n }
-
-// collectSync sums the transport accounting of one phase's wrappers.
-func collectSync(wraps []*transport.Sync) transport.Totals {
-	per := make([]transport.Counters, len(wraps))
-	for i, w := range wraps {
-		per[i] = w.Counters()
-	}
-	return transport.Collect(per)
-}
 
 // assemble collects every node's self-colored arcs into one assignment and
 // checks completeness over the surviving subgraph: arcs incident to a dead

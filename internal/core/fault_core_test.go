@@ -10,6 +10,7 @@ import (
 	"fdlsp/internal/geom"
 	"fdlsp/internal/graph"
 	"fdlsp/internal/sim"
+	"fdlsp/internal/transport"
 )
 
 // faultUDG builds a connected random unit-disk graph for the fault suite.
@@ -35,6 +36,16 @@ func faultPlanFor(seed int64, crashNode int) *sim.FaultPlan {
 	}
 }
 
+// faultSeeds is how many seeds the UnderFaults suites sweep: all five, or
+// seed 1 alone under -short. The short sweep keeps the -race -short CI job
+// inside go test's default timeout; the fault-soak job runs the full sweep.
+func faultSeeds() int64 {
+	if testing.Short() {
+		return 1
+	}
+	return 5
+}
+
 // verifySurviving checks the schedule against the surviving subgraph and
 // that no arc of a dead node slipped into it.
 func verifySurviving(t *testing.T, g *graph.Graph, res *Result, label string) {
@@ -51,8 +62,30 @@ func verifySurviving(t *testing.T, g *graph.Graph, res *Result, label string) {
 	}
 }
 
+// TestInvalidTransportOptions checks that both fault-path entry points
+// reject out-of-range transport options with an error before any engine
+// runs, instead of panicking inside a node factory.
+func TestInvalidTransportOptions(t *testing.T) {
+	g := graph.Path(4)
+	plan := &sim.FaultPlan{Seed: 1, Loss: 0.1}
+	for _, tc := range []struct {
+		topt transport.Options
+		want string
+	}{
+		{transport.Options{RTO: -2}, "negative RTO -2"},
+		{transport.Options{MaxRetries: -5}, "invalid MaxRetries -5"},
+	} {
+		if _, err := DistMIS(g, Options{Seed: 1, Fault: plan, Transport: tc.topt}); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("DistMIS %+v: error %v, want one containing %q", tc.topt, err, tc.want)
+		}
+		if _, err := DFS(g, DFSOptions{Seed: 1, Fault: plan, Transport: tc.topt}); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("DFS %+v: error %v, want one containing %q", tc.topt, err, tc.want)
+		}
+	}
+}
+
 func TestDFSUnderFaults(t *testing.T) {
-	for seed := int64(1); seed <= 5; seed++ {
+	for seed := int64(1); seed <= faultSeeds(); seed++ {
 		n := 24 + int(seed)*4
 		g := faultUDG(t, seed, n)
 		plan := faultPlanFor(seed, n/3)
@@ -141,7 +174,7 @@ func TestFaultDeterminismAcrossGOMAXPROCS(t *testing.T) {
 
 func TestDistMISUnderFaults(t *testing.T) {
 	for _, variant := range []Variant{GBG, General} {
-		for seed := int64(1); seed <= 5; seed++ {
+		for seed := int64(1); seed <= faultSeeds(); seed++ {
 			n := 24 + int(seed)*4
 			g := faultUDG(t, seed, n)
 			plan := faultPlanFor(seed, n/3)

@@ -48,8 +48,10 @@ type faultGoldenCase struct {
 
 // faultGoldenCases cover the transport's fault paths: retransmission with a
 // crash-and-restart re-arm, duplicate suppression under reordering, give-up
-// on a crash-stop, and send-once operation where give-ups are rescinded by
-// gossip vouches.
+// on a crash-stop, send-once operation where give-ups are rescinded by
+// gossip vouches, a restart with gossip disabled (only direct contact
+// vouches), and a tight retry ladder under heavy loss that gives up on live
+// peers and rescinds.
 var faultGoldenCases = []faultGoldenCase{
 	{name: "loss-restart", plan: func(c int) *sim.FaultPlan {
 		return &sim.FaultPlan{Seed: 101, Loss: 0.2, Crashes: []sim.Crash{{Node: c, At: 30, RestartAt: 90}}}
@@ -63,6 +65,12 @@ var faultGoldenCases = []faultGoldenCase{
 	{name: "no-retries", plan: func(int) *sim.FaultPlan {
 		return &sim.FaultPlan{Seed: 404, Loss: 0.02, Reorder: 4}
 	}, topt: transport.Options{MaxRetries: transport.NoRetries}},
+	{name: "no-gossip", plan: func(c int) *sim.FaultPlan {
+		return &sim.FaultPlan{Seed: 505, Loss: 0.2, Crashes: []sim.Crash{{Node: c, At: 30, RestartAt: 90}}}
+	}, topt: transport.Options{VouchWindow: -1}},
+	{name: "tuned", plan: func(c int) *sim.FaultPlan {
+		return &sim.FaultPlan{Seed: 606, Loss: 0.25, Crashes: []sim.Crash{{Node: c, At: 40}}}
+	}, topt: transport.Options{RTO: 2, MaxRTO: 24, MaxRetries: 3}},
 }
 
 // perNodeDigest hashes the per-node transport counters in node order.

@@ -114,7 +114,15 @@ func TestOptionsWithDefaults(t *testing.T) {
 	if got := (Options{VouchWindow: -1}).withDefaults().VouchWindow; got != -1 {
 		t.Errorf("disabled gossip (VouchWindow -1) changed to %d", got)
 	}
+	for _, good := range []Options{{}, {MaxRetries: NoRetries}, {RTO: 1, MaxRetries: 3}, {VouchWindow: -1}} {
+		if err := good.Validate(); err != nil {
+			t.Errorf("Validate(%+v) = %v, want nil", good, err)
+		}
+	}
 	for _, bad := range []Options{{RTO: -1}, {MaxRetries: NoRetries - 1}} {
+		if bad.Validate() == nil {
+			t.Errorf("Validate(%+v) accepted", bad)
+		}
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -151,7 +159,7 @@ func TestNoRetriesGivesUpAtFirstTimeout(t *testing.T) {
 	if !gotDown {
 		t.Fatal("want PeerDown at node 0")
 	}
-	totals := Collect(counters(wraps))
+	totals := Collect(wraps)
 	if totals.Retries != 0 {
 		t.Errorf("NoRetries must never retransmit, got %d retries", totals.Retries)
 	}
@@ -202,7 +210,7 @@ func TestSyncPeerUpRescindsGiveUpOnContact(t *testing.T) {
 	if wraps[0].env.Down(1) {
 		t.Error("node 0 still reports peer 1 down after rescind")
 	}
-	totals := Collect(counters(wraps))
+	totals := Collect(wraps)
 	if totals.PeersDown != 1 || totals.PeersUp != 1 {
 		t.Errorf("counters %v, want exactly one give-up and one rescind", totals)
 	}

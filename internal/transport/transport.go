@@ -18,21 +18,20 @@
 // Protocols treat PeerDown/PeerUp as the failure-detector output the
 // crash-recovery logic in internal/core keys off.
 //
-// Asynchronous runs retransmit on engine timers (sim.AsyncEnv.SetTimer);
-// synchronous runs count physical rounds. In the synchronous model the
-// transport additionally rebuilds the lockstep-round abstraction on top of
-// the unreliable network: the engine's RoundGate synchronizer (sim.SyncEnv
-// Advance) opens a new logical round only once every live node's previous
-// logical round has fully settled — every segment acknowledged or given up
-// on — which restores the delivery guarantee round-based protocols like
-// DistMIS assume, at a measurable cost in physical rounds (see the fault
-// experiment in internal/expt).
+// The ARQ state machine is written once, as one endpoint per node that
+// keeps time as a plain integer. Two clock adapters drive it. Sync counts
+// physical rounds: it scans for due retransmissions every round and
+// rebuilds the lockstep-round abstraction on top of the unreliable network
+// — the engine's RoundGate synchronizer (sim.SyncEnv Advance) opens a new
+// logical round only once every live node's previous logical round has
+// fully settled, every segment acknowledged or given up on — which
+// restores the delivery guarantee round-based protocols like DistMIS
+// assume, at a measurable cost in physical rounds (see the fault experiment
+// in internal/expt). Async runs on virtual time and retransmits on engine
+// timers (sim.AsyncEnv.SetTimer).
 package transport
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // NoRetries is the MaxRetries sentinel for "send once, never retransmit":
 // an unacknowledged segment is abandoned at its first timeout. A literal 0
@@ -45,9 +44,8 @@ type Options struct {
 	// RTO is the initial retransmission timeout in virtual time units
 	// (async) or physical rounds (sync), and the floor of the adaptive
 	// estimator. Default 4: one round trip plus slack under the unit-hop
-	// model. Negative values are rejected by withDefaults (panic): a zero
-	// timeout is not expressible, retransmission always waits at least one
-	// time unit.
+	// model. Negative values are rejected by Validate: a zero timeout is
+	// not expressible, retransmission always waits at least one time unit.
 	RTO int64
 	// MaxRTO caps the adaptive estimate and the exponential backoff.
 	// Default 32·RTO.
@@ -56,7 +54,7 @@ type Options struct {
 	// declares the peer down. Default 8 — with doubling backoff capped at
 	// MaxRTO, that rides out loss bursts far beyond the rates the fault
 	// experiments exercise. Use NoRetries for "no retransmission at all";
-	// values below NoRetries are rejected (panic).
+	// values below NoRetries are rejected by Validate.
 	MaxRetries int
 	// VouchWindow is the recency horizon of the gossip liveness hint: a
 	// sender piggybacks on every segment the list of peers it heard from
@@ -67,9 +65,21 @@ type Options struct {
 	VouchWindow int64
 }
 
-func (o Options) withDefaults() Options {
+// Validate reports options the ARQ cannot run with. Drivers call it before
+// building any endpoint; an endpoint built from invalid options panics.
+func (o Options) Validate() error {
 	if o.RTO < 0 {
-		panic(fmt.Sprintf("transport: negative RTO %d", o.RTO))
+		return fmt.Errorf("transport: negative RTO %d", o.RTO)
+	}
+	if o.MaxRetries < NoRetries {
+		return fmt.Errorf("transport: invalid MaxRetries %d", o.MaxRetries)
+	}
+	return nil
+}
+
+func (o Options) withDefaults() Options {
+	if err := o.Validate(); err != nil {
+		panic(err)
 	}
 	if o.RTO == 0 {
 		o.RTO = 4
@@ -77,13 +87,11 @@ func (o Options) withDefaults() Options {
 	if o.MaxRTO <= 0 {
 		o.MaxRTO = 32 * o.RTO
 	}
-	switch {
-	case o.MaxRetries == 0:
+	switch o.MaxRetries {
+	case 0:
 		o.MaxRetries = 8
-	case o.MaxRetries == NoRetries:
+	case NoRetries:
 		o.MaxRetries = 0
-	case o.MaxRetries < NoRetries:
-		panic(fmt.Sprintf("transport: invalid MaxRetries %d", o.MaxRetries))
 	}
 	if o.VouchWindow == 0 {
 		o.VouchWindow = 8 * o.RTO
@@ -188,11 +196,12 @@ type Totals struct {
 	PerNode []Counters
 }
 
-// Collect sums a set of per-node counters into run totals.
-func Collect(perNode []Counters) Totals {
-	t := Totals{PerNode: perNode}
-	for _, c := range perNode {
-		t.add(c)
+// Collect sums the counters of a run's per-node wrappers into run totals.
+func Collect[T interface{ Counters() Counters }](nodes []T) Totals {
+	t := Totals{PerNode: make([]Counters, len(nodes))}
+	for i, w := range nodes {
+		t.PerNode[i] = w.Counters()
+		t.add(t.PerNode[i])
 	}
 	return t
 }
@@ -214,23 +223,4 @@ func (t Totals) String() string {
 	return fmt.Sprintf("segs=%d retries=%d gaveup=%d dups=%d acks=%d maxinflight=%d peersdown=%d peersup=%d rtts=%d vouched=%d",
 		t.Segments, t.Retries, t.GaveUp, t.DupDropped, t.Acks, t.MaxInFlight, t.PeersDown,
 		t.PeersUp, t.RTTSamples, t.Vouched)
-}
-
-// track appends seq to peer's outbound index. A full list is first
-// compacted to the seqs still in pending — the rest were acknowledged — and
-// left with room for as many appends as it keeps, so a send costs amortized
-// O(1) lookups and the list stays within about twice the peer's in-flight
-// count.
-func track[S any](outbound map[int][]int64, peer int, seq int64, pending map[int64]*S) {
-	out := outbound[peer]
-	if len(out) == cap(out) {
-		live := out[:0]
-		for _, q := range out {
-			if pending[q] != nil {
-				live = append(live, q)
-			}
-		}
-		out = slices.Grow(live, len(live)+1)
-	}
-	outbound[peer] = append(out, seq)
 }

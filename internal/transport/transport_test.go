@@ -61,7 +61,7 @@ func TestSyncReliableFloodUnderLoss(t *testing.T) {
 			t.Errorf("node %d heard at logical round %d, want %d", v, nd.heardAt, v)
 		}
 	}
-	totals := Collect(counters(wraps))
+	totals := Collect(wraps)
 	if totals.Retries == 0 {
 		t.Error("expected retransmissions under 30% loss")
 	}
@@ -120,7 +120,7 @@ func TestSyncGiveUpOnCrashedPeer(t *testing.T) {
 	if !protos[1].env.Down(2) {
 		t.Error("Down(2) should report true at node 1 after give-up")
 	}
-	totals := Collect(counters(protos))
+	totals := Collect(protos)
 	if totals.GaveUp == 0 || totals.PeersDown == 0 {
 		t.Errorf("want give-up accounting, got %v", totals)
 	}
@@ -129,14 +129,6 @@ func TestSyncGiveUpOnCrashedPeer(t *testing.T) {
 type syncStepFunc func(*SyncEnv, []sim.Message) bool
 
 func (f syncStepFunc) Step(env *SyncEnv, in []sim.Message) bool { return f(env, in) }
-
-func counters[T interface{ Counters() Counters }](ws []T) []Counters {
-	out := make([]Counters, len(ws))
-	for i, w := range ws {
-		out[i] = w.Counters()
-	}
-	return out
-}
 
 // asyncEchoOnce: node 0 sends one "ping" per neighbor; receivers reply
 // "pong"; node 0 finishes the run after hearing every live neighbor.
@@ -191,7 +183,7 @@ func TestAsyncReliableEchoUnderLoss(t *testing.T) {
 	if pongs != g.N()-1 {
 		t.Errorf("heard %d pongs, want %d (exactly-once delivery)", pongs, g.N()-1)
 	}
-	totals := Collect(counters(wraps))
+	totals := Collect(wraps)
 	if totals.Retries == 0 {
 		t.Error("expected retransmissions under 40% loss")
 	}

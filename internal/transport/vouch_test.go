@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -22,7 +23,7 @@ import (
 // segView is the vouch-relevant state of one in-flight segment.
 type segView struct {
 	to, retries int
-	due         int // next retransmission round (sync only)
+	due         int64
 	retried     bool
 }
 
@@ -33,40 +34,24 @@ type endpointView struct {
 	c    Counters
 }
 
-func syncView(w *Sync) endpointView {
-	v := endpointView{segs: map[int64]segView{}, down: map[int]bool{}, c: w.c}
-	for q, s := range w.pending {
-		v.segs[q] = segView{to: s.to, retries: s.retries, due: s.due, retried: s.retried}
-	}
-	for p, d := range w.down {
-		v.down[p] = d
-	}
-	return v
-}
-
-func asyncView(ep *asyncEndpoint) endpointView {
-	v := endpointView{segs: map[int64]segView{}, down: map[int]bool{}, c: ep.c}
+func view(ep *endpoint) endpointView {
+	v := endpointView{segs: map[int64]segView{}, down: maps.Clone(ep.down), c: ep.c}
 	for q, s := range ep.pending {
-		v.segs[q] = segView{to: s.to, retries: s.retries, retried: s.retried}
-	}
-	for p, d := range ep.down {
-		v.down[p] = d
+		v.segs[q] = segView{to: s.to, retries: s.retries, due: s.due, retried: s.retried}
 	}
 	return v
 }
 
 // refVouch is the reference full-scan vouch: it examines every in-flight
 // segment, resets the retry budget of each one addressed to peer that holds
-// one, and rescinds a give-up on peer. due is the reset segments' next
-// retransmission round; pass -1 for async endpoints, which keep no due round.
-func (v *endpointView) refVouch(peer, due int) {
+// one, moving its next retransmission to due, and rescinds a give-up on
+// peer.
+func (v *endpointView) refVouch(peer int, due int64) {
 	for q, s := range v.segs {
 		if s.to == peer && s.retries > 0 {
 			s.retries = 0
 			s.retried = true
-			if due >= 0 {
-				s.due = due
-			}
+			s.due = due
 			v.segs[q] = s
 			v.c.Vouched++
 		}
@@ -113,61 +98,59 @@ func (v endpointView) checkIndex(retrying, outbound map[int][]int64) error {
 	return nil
 }
 
-// diff applies op to the endpoint and ref to want, a view taken before op,
-// and reports the first difference.
-func diff(what string, want endpointView, ref func(*endpointView), op func(), view func() endpointView) error {
+// diff applies op to the endpoint and ref to a view taken before op, and
+// reports the first difference.
+func diff(what string, ep *endpoint, ref func(*endpointView), op func()) error {
+	want := view(ep)
 	ref(&want)
 	op()
-	if got := view(); !reflect.DeepEqual(got, want) {
+	if got := view(ep); !reflect.DeepEqual(got, want) {
 		return fmt.Errorf("%s: indexed %+v, full scan %+v", what, got, want)
 	}
 	return nil
 }
 
-func diffVouchSync(w *Sync, peer int) error {
-	due := w.senv.Round + int(w.rtoFor(peer))
-	return diff(fmt.Sprintf("round %d vouch(%d)", w.senv.Round, peer), syncView(w),
+func diffVouch(ep *endpoint, now int64, peer int) error {
+	due := now + ep.rtoFor(peer)
+	return diff(fmt.Sprintf("time %d vouch(%d)", now, peer), ep,
 		func(v *endpointView) { v.refVouch(peer, due) },
-		func() { w.vouch(w.senv, peer) },
-		func() endpointView { return syncView(w) })
+		func() { ep.vouch(now, peer) })
 }
 
-func diffGiveUpSync(w *Sync, peer int) error {
-	return diff(fmt.Sprintf("round %d giveUp(%d)", w.senv.Round, peer), syncView(w),
+func diffGiveUp(ep *endpoint, now int64, peer int) error {
+	return diff(fmt.Sprintf("time %d giveUp(%d)", now, peer), ep,
 		func(v *endpointView) { v.refGiveUp(peer) },
-		func() { w.giveUp(w.senv, peer) },
-		func() endpointView { return syncView(w) })
+		func() { ep.giveUp(now, peer) })
 }
 
-func diffVouchAsync(e *AsyncEnv, peer int) error {
-	return diff(fmt.Sprintf("time %d vouchFor(%d)", e.Clock(), peer), asyncView(e.ep),
-		func(v *endpointView) { v.refVouch(peer, -1) },
-		func() { e.vouchFor(peer) },
-		func() endpointView { return asyncView(e.ep) })
+// vouchAll checks a differential vouch for every peer, as node 0 does once
+// right after its restart re-arm.
+func vouchAll(ep *endpoint, now int64, peers []int) error {
+	for _, p := range peers {
+		if err := diffVouch(ep, now, p); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-func diffGiveUpAsync(e *AsyncEnv, peer int) error {
-	return diff(fmt.Sprintf("time %d giveUp(%d)", e.Clock(), peer), asyncView(e.ep),
-		func(v *endpointView) { v.refGiveUp(peer) },
-		func() { e.giveUp(peer) },
-		func() endpointView { return asyncView(e.ep) })
-}
-
-// checkpoint runs node 0's seeded checks: the index invariant, then with
-// some probability a differential vouch, and more rarely a differential
-// give-up, for a peer drawn from peers.
-func checkpoint(rng *rand.Rand, peers []int, view endpointView, retrying, outbound map[int][]int64,
-	vouch, giveUp func(peer int) error) error {
-	if err := view.checkIndex(retrying, outbound); err != nil {
-		return err
+// checkpoint runs node 0's seeded checks at time now: the index invariant,
+// then with some probability a differential vouch, and more rarely a
+// differential give-up, for a peer drawn from peers. forced reports whether
+// it gave up on a peer that was up.
+func checkpoint(rng *rand.Rand, peers []int, ep *endpoint, now int64) (forced bool, err error) {
+	if err := view(ep).checkIndex(ep.retrying, ep.outbound); err != nil {
+		return false, err
 	}
 	switch r := rng.Intn(100); {
 	case r == 0:
-		return giveUp(peers[rng.Intn(len(peers))])
+		p := peers[rng.Intn(len(peers))]
+		forced = !ep.down[p]
+		return forced, diffGiveUp(ep, now, p)
 	case r < 30:
-		return vouch(peers[rng.Intn(len(peers))])
+		return false, diffVouch(ep, now, peers[rng.Intn(len(peers))])
 	}
-	return nil
+	return false, nil
 }
 
 // hop is the chatter payload: how often a greeting has been answered.
@@ -277,22 +260,17 @@ func TestVouchIndexMatchesFullScanSync(t *testing.T) {
 				if w.senv == nil || failed != nil {
 					return
 				}
-				vouch := func(p int) error { return diffVouchSync(w, p) }
-				giveUp := func(p int) error {
-					if !w.down[p] {
-						forced++
-					}
-					return diffGiveUpSync(w, p)
-				}
+				now := int64(w.senv.Round)
 				if restarted && !rearmChecked {
 					rearmChecked = true
-					for _, p := range peers {
-						if failed = vouch(p); failed != nil {
-							return
-						}
+					if failed = vouchAll(w.ep, now, peers); failed != nil {
+						return
 					}
 				}
-				failed = checkpoint(rng, peers, syncView(w), w.retrying, w.outbound, vouch, giveUp)
+				var f bool
+				if f, failed = checkpoint(rng, peers, w.ep, now); f {
+					forced++
+				}
 			}
 			if err := eng.Run(); err != nil {
 				t.Fatal(err)
@@ -336,23 +314,16 @@ func TestVouchIndexMatchesFullScanAsync(t *testing.T) {
 						}
 						// Failures end the run instead of calling t.Fatal:
 						// this is a node goroutine, not the test's.
-						vouch := func(p int) error { return diffVouchAsync(env, p) }
-						giveUp := func(p int) error {
-							if !env.ep.down[p] {
-								forced++
-							}
-							return diffGiveUpAsync(env, p)
-						}
+						now := env.Clock()
 						if _, ok := m.Payload.(sim.NodeRestarted); ok {
 							restarted = true
-							for _, p := range peers {
-								if failed = vouch(p); failed != nil {
-									break
-								}
-							}
+							failed = vouchAll(env.ep, now, peers)
 						}
 						if failed == nil {
-							failed = checkpoint(rng, peers, asyncView(env.ep), env.ep.retrying, env.ep.outbound, vouch, giveUp)
+							var f bool
+							if f, failed = checkpoint(rng, peers, env.ep, now); f {
+								forced++
+							}
 						}
 						node0 = env.ep.c
 						if failed != nil {
@@ -369,6 +340,12 @@ func TestVouchIndexMatchesFullScanAsync(t *testing.T) {
 			}
 			if failed != nil {
 				t.Fatal(failed)
+			}
+			// Every segment ends acked or given up on; one still in flight
+			// lost its retransmission timer, as to a crash window without
+			// the restart re-arm.
+			if n := len(wraps[0].ep.pending); n > 0 {
+				t.Errorf("node 0 ended with %d segments in flight", n)
 			}
 			c := natural(node0, forced)
 			t.Logf("node 0: restarted=%v forced give-ups=%d %+v", restarted, forced, c)
