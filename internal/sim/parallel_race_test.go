@@ -110,7 +110,6 @@ func TestParallelEngineFaultDeterminism(t *testing.T) {
 			{Node: 20, At: 6},
 			{Node: 41, At: 2, RestartAt: 3},
 		},
-		Rejoins: []int{50},
 	}
 	base := runGossip(t, g, 9001, 1, plan, 25)
 	if base.Stats.DroppedFault == 0 || base.Stats.Duplicated == 0 {

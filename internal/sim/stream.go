@@ -55,11 +55,11 @@ func (s *FaultStream) drawInt(epoch int64, node, dim int, n int64) int64 {
 // Plan materializes the stream's faults for one bounded window: a FaultPlan
 // an engine run can consume, carrying the stream's message-fault rates and
 // a fresh set of bounded outages among the live nodes. Crash times fall in
-// [1, horizon/2] and restarts at most MaxOutage later, so a sustained-churn
-// driver probing with horizon windows sees every outage open and close
-// inside the same engine run (the synchronous engine spins rounds until a
-// pending restart fires, so a restart is never lost to an early
-// termination). live may be nil, meaning every node of an n-node network is
+// [1, horizon/2] and restarts at most MaxOutage later. An engine run may
+// end before a restart fires (the synchronous engine quiesces once every
+// node is done, even with a restart pending); a driver that runs the plan
+// as several engine runs re-aligns it with FaultPlan.Shifted, which
+// carries such a window into its next engine run. live may be nil, meaning every node of an n-node network is
 // eligible; epoch salts both the draws and the materialized plan's fault
 // RNG, so consecutive windows fault differently.
 func (s *FaultStream) Plan(epoch int64, n int, live []bool, horizon int64) *FaultPlan {

@@ -18,8 +18,6 @@ func TestFaultPlanValidateRejections(t *testing.T) {
 		{"dup negative", FaultPlan{Dup: -0.5}, "dup"},
 		{"dup above one", FaultPlan{Dup: 1.01}, "dup"},
 		{"reorder negative", FaultPlan{Reorder: -3}, "reorder"},
-		{"rejoin node negative", FaultPlan{Rejoins: []int{-1}}, "rejoin node"},
-		{"rejoin node too large", FaultPlan{Rejoins: []int{4}}, "rejoin node"},
 		{"crash node negative",
 			FaultPlan{Crashes: []Crash{{Node: -1, At: 1}}}, "crash node"},
 		{"crash node too large",
