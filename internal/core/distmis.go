@@ -332,7 +332,9 @@ func DistMIS(g *graph.Graph, opts Options) (*Result, error) {
 		}
 	}
 
-	as, err := assemble(g, states, dead)
+	as, err := assemble(g, dead, func(v int) ([]graph.Arc, *knowledge) {
+		return states[v].ownColored, states[v].know
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -640,23 +642,26 @@ func faultyMaxRounds(n int) int { return 200_000 + 2_000*n }
 // assemble collects every node's self-colored arcs into one assignment and
 // checks completeness over the surviving subgraph: arcs incident to a dead
 // node are out of scope (their colors, if any were assigned before the
-// crash, are discarded with the node).
-func assemble(g *graph.Graph, states []*nodeState, dead []bool) (coloring.Assignment, error) {
+// crash, are discarded with the node). own returns node v's self-colored
+// arcs and its color knowledge. Both algorithms build their schedule here.
+func assemble(g *graph.Graph, dead []bool, own func(v int) ([]graph.Arc, *knowledge)) (coloring.Assignment, error) {
 	// Size by what the survivors actually colored, not the full graph:
 	// crash runs discard dead nodes' arcs.
 	count := 0
-	for _, st := range states {
-		count += len(st.ownColored)
+	for v := 0; v < g.N(); v++ {
+		arcs, _ := own(v)
+		count += len(arcs)
 	}
 	as := coloring.NewAssignmentSized(count)
-	for _, st := range states {
-		for _, a := range st.ownColored {
+	for v := 0; v < g.N(); v++ {
+		arcs, know := own(v)
+		for _, a := range arcs {
 			if !arcAlive(a, dead) {
 				continue
 			}
-			c := st.know.know[a]
+			c := know.know[a]
 			if c == coloring.None {
-				return nil, fmt.Errorf("core: node %d lost color of own arc %v", st.id, a)
+				return nil, fmt.Errorf("core: node %d lost color of own arc %v", v, a)
 			}
 			if prev, ok := as[a]; ok && prev != c {
 				return nil, fmt.Errorf("core: arc %v colored twice (%d and %d)", a, prev, c)

@@ -22,15 +22,6 @@ func SurvivingGraph(g *graph.Graph, crashed []int) *graph.Graph {
 	return s
 }
 
-// deadMask spreads a crashed-node list over n booleans.
-func deadMask(n int, crashed []int) []bool {
-	dead := make([]bool, n)
-	for _, v := range crashed {
-		dead[v] = true
-	}
-	return dead
-}
-
 // deadList flattens a mask back to a sorted id list.
 func deadList(dead []bool) []int {
 	var out []int
