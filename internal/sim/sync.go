@@ -387,6 +387,8 @@ func (eng *SyncEngine) Run() error {
 
 	for round := 0; ; round++ {
 		if round > maxRounds {
+			// Rounds 0..maxRounds ran: report them, as a quiescent run does.
+			eng.stats.Rounds = int64(round)
 			return fmt.Errorf("sim: synchronous run exceeded %d rounds", maxRounds)
 		}
 
