@@ -96,7 +96,19 @@ func (p *FaultPlan) Validate(n int) error {
 		byNode[c.Node] = append(byNode[c.Node], c)
 	}
 	for node, wins := range byNode {
-		sort.Slice(wins, func(i, j int) bool { return wins[i].At < wins[j].At })
+		// A total order, so the verdict cannot depend on input order: by
+		// time, a crash-stop before an outage starting at the same time
+		// (which it then forbids), shorter windows first.
+		sort.Slice(wins, func(i, j int) bool {
+			a, b := wins[i], wins[j]
+			if a.At != b.At {
+				return a.At < b.At
+			}
+			if a.stop() != b.stop() {
+				return a.stop()
+			}
+			return a.RestartAt < b.RestartAt
+		})
 		for i := 1; i < len(wins); i++ {
 			prev := wins[i-1]
 			if prev.stop() {

@@ -52,6 +52,43 @@ func TestFaultPlanValidateRejections(t *testing.T) {
 	}
 }
 
+// TestFaultPlanValidateOrderIndependent feeds each set of windows in both
+// input orders: the verdict and the error must not depend on the order.
+func TestFaultPlanValidateOrderIndependent(t *testing.T) {
+	cases := []struct {
+		name string
+		wins []Crash
+		want string // substring of the error; "" means accepted
+	}{
+		{"zero-length outage and crash-stop at one time",
+			[]Crash{{Node: 1, At: 5, RestartAt: 5}, {Node: 1, At: 5}}, "crash-stops at 5"},
+		{"outage and crash-stop at one time",
+			[]Crash{{Node: 1, At: 5, RestartAt: 8}, {Node: 1, At: 5}}, "crash-stops at 5"},
+		{"outage after crash-stop",
+			[]Crash{{Node: 2, At: 8, RestartAt: 10}, {Node: 2, At: 4}}, "crash-stops at 4"},
+		{"zero-length outage then window at one time",
+			[]Crash{{Node: 0, At: 3, RestartAt: 7}, {Node: 0, At: 3, RestartAt: 3}}, ""},
+		{"two windows from one time",
+			[]Crash{{Node: 0, At: 3, RestartAt: 7}, {Node: 0, At: 3, RestartAt: 9}}, "overlaps"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rev := []Crash{tc.wins[1], tc.wins[0]}
+			for _, wins := range [][]Crash{tc.wins, rev} {
+				err := (&FaultPlan{Crashes: wins}).Validate(4)
+				switch {
+				case tc.want == "" && err != nil:
+					t.Errorf("Validate(%v) = %v, want nil", wins, err)
+				case tc.want != "" && err == nil:
+					t.Errorf("Validate(%v) accepted the plan", wins)
+				case tc.want != "" && !strings.Contains(err.Error(), tc.want):
+					t.Errorf("Validate(%v) = %q, want it to mention %q", wins, err, tc.want)
+				}
+			}
+		})
+	}
+}
+
 func TestFaultPlanValidateAccepts(t *testing.T) {
 	cases := []struct {
 		name string
