@@ -463,11 +463,20 @@ func Verify(g *graph.Graph, as Assignment) []Violation {
 // Valid reports whether as is a complete and feasible schedule for g.
 func Valid(g *graph.Graph, as Assignment) bool { return len(Verify(g, as)) == 0 }
 
+// SlotTable is the slot storage AssignGreedyLocal reads and writes: an
+// Assignment, or a protocol node's table of the arcs it can know about.
+// Color returns None for an uncolored arc; Set is only called on arcs Color
+// reported uncolored, with a color >= 1.
+type SlotTable interface {
+	Color(a graph.Arc) int
+	Set(a graph.Arc, c int)
+}
+
 // smallestFeasible returns the smallest color >= 1 not used by any arc
 // conflicting with a under the (possibly partial) knowledge know. The answer
 // is at most |conflicts(a)|+1, so a pooled []bool occupancy buffer of that
 // size replaces the per-call map the function used to allocate.
-func smallestFeasible(g *graph.Graph, know Assignment, a graph.Arc) int {
+func smallestFeasible(g *graph.Graph, know SlotTable, a graph.Arc) int {
 	cc := cacheOf(g)
 	confs := ConflictingArcs(g, a)
 	n := len(confs) + 2
@@ -480,7 +489,7 @@ func smallestFeasible(g *graph.Graph, know Assignment, a graph.Arc) int {
 		clear(used)
 	}
 	for _, b := range confs {
-		if c := know[b]; c != None && c < n {
+		if c := know.Color(b); c != None && c < n {
 			used[c] = true
 		}
 	}
@@ -501,10 +510,10 @@ func smallestFeasible(g *graph.Graph, know Assignment, a graph.Arc) int {
 // in know, writing the result into know. It returns the newly colored arcs.
 // This is the per-node coloring step shared by DistMIS and the DFS
 // algorithm: know is the node's distance-2 color knowledge.
-func AssignGreedyLocal(g *graph.Graph, know Assignment, arcs []graph.Arc) []graph.Arc {
+func AssignGreedyLocal(g *graph.Graph, know SlotTable, arcs []graph.Arc) []graph.Arc {
 	var colored []graph.Arc
 	for _, a := range arcs {
-		if know[a] != None {
+		if know.Color(a) != None {
 			continue
 		}
 		know.Set(a, smallestFeasible(g, know, a))

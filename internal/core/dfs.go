@@ -155,7 +155,7 @@ func newDFSNode(g *graph.Graph, id int, policy ChildPolicy, faulty bool) *dfsNod
 	}
 	return &dfsNode{
 		g:             g,
-		know:          newKnowledge(id, g),
+		know:          newKnowledge(id, g, 2),
 		policy:        policy,
 		degrees:       degs,
 		faulty:        faulty,
@@ -246,7 +246,7 @@ func (nd *dfsNode) completeToken(env *transport.AsyncEnv) {
 		}
 		arcs = live
 	}
-	newly := coloring.AssignGreedyLocal(nd.g, nd.know.know, arcs)
+	newly := coloring.AssignGreedyLocal(nd.g, nd.know, arcs)
 	nd.ownColored = append(nd.ownColored, newly...)
 	if nd.sendFlood(env, nd.know.announceOwn(newly), -1, 0) == 0 {
 		nd.passToken(env)
@@ -747,7 +747,7 @@ func countColored(nodes []*dfsNode) int {
 // false give-up that skipped arcs), so a later epoch must re-visit it.
 func needsRecolor(g *graph.Graph, nd *dfsNode, dead []bool) bool {
 	for _, a := range g.IncidentArcsView(nd.know.id) {
-		if arcAlive(a, dead) && nd.know.know[a] == coloring.None {
+		if arcAlive(a, dead) && nd.know.Color(a) == coloring.None {
 			return true
 		}
 	}

@@ -162,7 +162,7 @@ func DistMIS(g *graph.Graph, opts Options) (*Result, error) {
 	n := g.N()
 	states := make([]*nodeState, n)
 	for v := 0; v < n; v++ {
-		states[v] = &nodeState{id: v, know: newKnowledge(v, g)}
+		states[v] = &nodeState{id: v, know: newKnowledge(v, g, 2)}
 		states[v].know.tolerant = faulty
 	}
 
@@ -603,7 +603,7 @@ func (nd *colorPhaseNode) Step(env *transport.SyncEnv, inbox []sim.Message) bool
 			}
 			arcs = live
 		}
-		newly := coloring.AssignGreedyLocal(nd.g, nd.st.know.know, arcs)
+		newly := coloring.AssignGreedyLocal(nd.g, nd.st.know, arcs)
 		nd.st.ownColored = append(nd.st.ownColored, newly...)
 		for _, f := range nd.st.know.announceOwn(newly) {
 			env.Broadcast(nd.st.anns.put(f))
@@ -659,7 +659,7 @@ func assemble(g *graph.Graph, dead []bool, own func(v int) ([]graph.Arc, *knowle
 			if !arcAlive(a, dead) {
 				continue
 			}
-			c := know.know[a]
+			c := know.Color(a)
 			if c == coloring.None {
 				return nil, fmt.Errorf("core: node %d lost color of own arc %v", v, a)
 			}

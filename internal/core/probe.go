@@ -37,7 +37,7 @@ func (p ProbePoint) PartialSchedule() coloring.Assignment {
 	as := coloring.NewAssignmentSized(count)
 	for _, st := range p.pr.states {
 		for _, a := range st.ownColored {
-			if c := st.know.know[a]; c != coloring.None {
+			if c := st.know.Color(a); c != coloring.None {
 				as[a] = c
 			}
 		}
@@ -51,7 +51,7 @@ func (p ProbePoint) ColoredArcs() int {
 	count := 0
 	for _, st := range p.pr.states {
 		for _, a := range st.ownColored {
-			if st.know.know[a] != coloring.None {
+			if st.know.Color(a) != coloring.None {
 				count++
 			}
 		}

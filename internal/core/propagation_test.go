@@ -26,7 +26,7 @@ func TestColorPhaseKnowledgeRadius(t *testing.T) {
 		g := graph.ConnectedGNM(n, n-1+extra, rng)
 		states := make([]*nodeState, n)
 		for v := 0; v < n; v++ {
-			states[v] = &nodeState{id: v, know: newKnowledge(v, g)}
+			states[v] = &nodeState{id: v, know: newKnowledge(v, g, 2)}
 		}
 		// One colorer, arbitrary node.
 		colorer := rng.Intn(n)
@@ -41,7 +41,7 @@ func TestColorPhaseKnowledgeRadius(t *testing.T) {
 			t.Fatalf("trial %d: colorer %d colored nothing", trial, colorer)
 		}
 		for _, a := range colored {
-			c := states[colorer].know.know[a]
+			c := states[colorer].know.Color(a)
 			if c == coloring.None {
 				t.Fatalf("trial %d: arc %v uncolored at colorer", trial, a)
 			}
@@ -52,7 +52,7 @@ func TestColorPhaseKnowledgeRadius(t *testing.T) {
 				if !within {
 					continue
 				}
-				if got := states[u].know.know[a]; got != c {
+				if got := states[u].know.Color(a); got != c {
 					t.Fatalf("trial %d: node %d (dist %d/%d from %v) knows color %d, want %d",
 						trial, u, dx, dy, a, got, c)
 				}
@@ -73,7 +73,7 @@ func TestColorPhaseSimultaneousColorersStayConsistent(t *testing.T) {
 		g := graph.ConnectedGNM(n, n-1+rng.Intn(n), rng) // n ≥ 20: always within the edge budget
 		states := make([]*nodeState, n)
 		for v := 0; v < n; v++ {
-			states[v] = &nodeState{id: v, know: newKnowledge(v, g)}
+			states[v] = &nodeState{id: v, know: newKnowledge(v, g, 2)}
 		}
 		// Pick colorers greedily at pairwise distance >= 4 (what a
 		// secondary MIS guarantees in the GBG variant).
@@ -99,7 +99,7 @@ func TestColorPhaseSimultaneousColorersStayConsistent(t *testing.T) {
 		partial := coloring.NewAssignment(g)
 		for _, st := range states {
 			for _, a := range st.ownColored {
-				partial[a] = st.know.know[a]
+				partial[a] = st.know.Color(a)
 			}
 		}
 		// No conflicting same-colored pair among the colored arcs.

@@ -44,7 +44,7 @@ func Randomized(g *graph.Graph, seed int64) (*Result, error) {
 	as := coloring.NewAssignment(g)
 	for _, nd := range nodes {
 		for _, a := range nd.owned {
-			c := nd.know.know[a]
+			c := nd.know.Color(a)
 			if c == coloring.None {
 				return nil, fmt.Errorf("core: randomized left arc %v uncolored", a)
 			}
@@ -87,7 +87,7 @@ type tentKey struct {
 func newRandNode(id int, g *graph.Graph) *randNode {
 	return &randNode{
 		g:        g,
-		know:     newKnowledge(id, g),
+		know:     newKnowledge(id, g, 3),
 		owned:    g.OutArcs(id),
 		myRank:   make(map[graph.Arc]int64),
 		seenTent: make(map[tentKey]struct{}),
@@ -97,7 +97,7 @@ func newRandNode(id int, g *graph.Graph) *randNode {
 func (nd *randNode) uncolored() []graph.Arc {
 	var out []graph.Arc
 	for _, a := range nd.owned {
-		if nd.know.know[a] == coloring.None {
+		if nd.know.Color(a) == coloring.None {
 			out = append(out, a)
 		}
 	}
@@ -154,7 +154,7 @@ func (nd *randNode) Step(env *sim.SyncEnv, inbox []sim.Message) bool {
 		// Local maxima are pairwise non-conflicting, so coloring them in
 		// sequence against the shared knowledge is exactly the simultaneous
 		// coloring of independent conflict-graph vertices.
-		coloring.AssignGreedyLocal(nd.g, nd.know.know, won)
+		coloring.AssignGreedyLocal(nd.g, nd.know, won)
 		for _, f := range nd.know.announceOwnTTL(won, 3) {
 			env.Broadcast(f)
 		}

@@ -119,17 +119,13 @@ func (k *knowledge) mergeIncident(table []arcColor) []ColorAnnounce {
 		if e.Color == coloring.None {
 			continue
 		}
-		fresh := k.incident(e.Arc) && k.know[e.Arc] == coloring.None
-		k.record(e.Arc, e.Color)
-		if !fresh {
+		i := k.index(e.Arc)
+		fresh := k.incident(e.Arc) && k.slot[i] == coloring.None
+		k.recordAt(i, e.Color)
+		if !fresh || !k.markSeen(i, e.Arc, k.id, k.gen) {
 			continue
 		}
-		key := annKey{origin: k.id, arc: e.Arc, gen: k.gen}
-		if _, dup := k.seen[key]; dup {
-			continue
-		}
-		k.seen[key] = struct{}{}
-		out = append(out, ColorAnnounce{Arc: e.Arc, Color: k.know[e.Arc], Origin: k.id, TTL: 2, Gen: k.gen})
+		out = append(out, ColorAnnounce{Arc: e.Arc, Color: int(k.slot[i]), Origin: k.id, TTL: 2, Gen: k.gen})
 	}
 	k.obuf = out[:0]
 	return out
@@ -199,7 +195,7 @@ func standardSetColored(g *graph.Graph, st *nodeState, variant Variant, dead []b
 		arcs = g.OutArcsView(st.id)
 	}
 	for _, a := range arcs {
-		if arcAlive(a, dead) && st.know.know[a] == coloring.None {
+		if arcAlive(a, dead) && st.know.Color(a) == coloring.None {
 			return false
 		}
 	}
