@@ -3,6 +3,7 @@ package coloring
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"fdlsp/internal/graph"
@@ -111,4 +112,131 @@ func TestConflictCacheRebuildsAfterJournalTruncation(t *testing.T) {
 	if after.Builds != before.Builds+1 {
 		t.Fatalf("truncated journal should cost exactly one rebuild: %+v -> %+v", before, after)
 	}
+}
+
+// checkSplicedBatch warms g's conflict cache, applies mutate as one batch and
+// syncs the cache once. Every row the patch rewrote — the live arcs incident
+// to S = E ∪ N(E), E the flipped edges' endpoints — must equal a fresh
+// rowBuilder row byte for byte and be an exact-size copy, every other row
+// must be unchanged, and the patched-row count must be |rows rewritten|. It
+// returns the pre-batch rows.
+func checkSplicedBatch(t *testing.T, g *graph.Graph, mutate func(*graph.Graph)) map[graph.Arc][]graph.Arc {
+	t.Helper()
+	before := make(map[graph.Arc][]graph.Arc)
+	for _, a := range g.ArcsView() {
+		before[a] = ConflictingArcs(g, a)
+	}
+	st0 := CacheStats(g)
+	epoch := g.MutEpoch()
+	mutate(g)
+	ds, ok := g.EdgeDeltasSince(epoch)
+	if !ok || len(ds) == 0 {
+		t.Fatalf("batch left no journal: ok=%v deltas=%d", ok, len(ds))
+	}
+	inS := make(map[int]bool)
+	for _, d := range ds {
+		for _, x := range [2]int{d.U, d.V} {
+			inS[x] = true
+			for _, w := range g.NeighborsView(x) {
+				inS[w] = true
+			}
+		}
+	}
+	st1 := CacheStats(g)
+	if st1.Patches != st0.Patches+1 || st1.Builds != st0.Builds {
+		t.Fatalf("batch did not sync as one patch: %+v -> %+v", st0, st1)
+	}
+	rb := new(rowBuilder)
+	rb.fit(g.N())
+	rewritten := 0
+	for _, a := range g.ArcsView() {
+		got := ConflictingArcs(g, a)
+		if want := rb.row(g, a); !slices.Equal(got, want) {
+			t.Fatalf("row of %v\n got: %v\nfresh: %v", a, got, want)
+		}
+		if inS[a.From] || inS[a.To] {
+			rewritten++
+			if cap(got) != len(got) {
+				t.Fatalf("rewritten row of %v has cap %d, len %d", a, cap(got), len(got))
+			}
+		} else if !slices.Equal(got, before[a]) {
+			t.Fatalf("row of %v outside S changed", a)
+		}
+	}
+	if d := st1.PatchedArcs - st0.PatchedArcs; d != uint64(rewritten) {
+		t.Fatalf("patch counted %d rewritten rows, %d arcs are incident to S", d, rewritten)
+	}
+	return before
+}
+
+// TestConflictCacheSpliceRows pins the patch's splice of rows whose arc has
+// no flipped endpoint on a 4×4 grid (node r·4+c):
+//
+//	 0  1  2  3
+//	 4  5  6  7
+//	 8  9 10 11
+//	12 13 14 15
+func TestConflictCacheSpliceRows(t *testing.T) {
+	arc := func(u, v int) graph.Arc { return graph.Arc{From: u, To: v} }
+
+	t.Run("neighbouring flips", func(t *testing.T) {
+		// Flip endpoint 5 neighbours flip endpoint 6: rows around both
+		// splice in the new diagonal and drop the removed link together.
+		g := graph.Grid(4, 4)
+		before := checkSplicedBatch(t, g, func(g *graph.Graph) {
+			g.AddEdge(0, 5)
+			g.RemoveEdge(6, 10)
+		})
+		// (1,2): 1 ∈ N(5) and 2 ∈ N(6), neither flipped; its row gains
+		// (0,5) (head 5 ∈ N(1)) and loses nothing it held of {6,10}.
+		if row := ConflictingArcs(g, arc(1, 2)); !slices.Contains(row, arc(0, 5)) ||
+			slices.Contains(before[arc(1, 2)], arc(0, 5)) {
+			t.Fatalf("row of (1,2) did not splice in (0,5): %v", row)
+		}
+		// (9,8): 9 ∈ N(5) ∩ N(10), spliced; (6,10) was in its row
+		// (head 10 ∈ N(9)) and must be gone.
+		if !slices.Contains(before[arc(9, 8)], arc(6, 10)) ||
+			slices.Contains(ConflictingArcs(g, arc(9, 8)), arc(6, 10)) {
+			t.Fatalf("row of (9,8) kept (6,10): %v", ConflictingArcs(g, arc(9, 8)))
+		}
+	})
+
+	t.Run("remove and re-add recycles ids", func(t *testing.T) {
+		g := graph.Grid(4, 4)
+		_ = ConflictingArcs(g, arc(0, 1))
+		uv, _ := g.ArcIndex(arc(5, 9))
+		vu, _ := g.ArcIndex(arc(9, 5))
+		bound := g.ArcIDBound()
+		before := checkSplicedBatch(t, g, func(g *graph.Graph) {
+			g.RemoveEdge(5, 9)
+			g.AddEdge(5, 9)
+		})
+		nuv, _ := g.ArcIndex(arc(5, 9))
+		nvu, _ := g.ArcIndex(arc(9, 5))
+		if g.ArcIDBound() != bound || nuv != vu || nvu != uv {
+			t.Fatalf("ids not recycled across the batch: (5,9) %d->%d, (9,5) %d->%d, bound %d->%d",
+				uv, nuv, vu, nvu, bound, g.ArcIDBound())
+		}
+		// The far row of (4,0) (4 ∈ N(5)) is spliced: both arcs of the
+		// flipped edge leave and come back at their old positions.
+		if !slices.Equal(ConflictingArcs(g, arc(4, 0)), before[arc(4, 0)]) {
+			t.Fatal("row of (4,0) changed across a remove-and-re-add")
+		}
+	})
+
+	t.Run("removal drops far rows", func(t *testing.T) {
+		g := graph.Grid(4, 4)
+		before := checkSplicedBatch(t, g, func(g *graph.Graph) { g.RemoveEdge(5, 6) })
+		// (1,2): tail 6 of (6,5) is in N(2), so (6,5) conflicted with it;
+		// neither 1 nor 2 is a flip endpoint, so only the splice drops it.
+		if !slices.Contains(before[arc(1, 2)], arc(6, 5)) {
+			t.Fatalf("(6,5) was not in the row of (1,2) before the removal: %v", before[arc(1, 2)])
+		}
+		for _, a := range []graph.Arc{arc(1, 2), arc(2, 1), arc(9, 10), arc(13, 9)} {
+			row := ConflictingArcs(g, a)
+			if slices.Contains(row, arc(5, 6)) || slices.Contains(row, arc(6, 5)) {
+				t.Fatalf("row of %v still holds the removed link: %v", a, row)
+			}
+		}
+	})
 }
