@@ -2,8 +2,10 @@ package incr
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"fdlsp/internal/coloring"
@@ -298,5 +300,114 @@ func TestNewRejectsInvalidSchedule(t *testing.T) {
 	}
 	if _, err := New(g, as); err == nil {
 		t.Fatal("New accepted a conflicting schedule")
+	}
+}
+
+// auditBatch draws one multi-event batch valid against g in order: fresh
+// link-ups, an existing link removed and re-added, a node failed and
+// re-joined to a peer set that keeps some of its old links, and a node
+// moved. Each part is drawn with probability one half, at least one.
+func auditBatch(g *graph.Graph, rng *rand.Rand) []dynamic.Event {
+	n := g.N()
+	peers := func(u int, keep []int) []int {
+		out := append([]int(nil), keep...)
+		for len(out) < len(keep)+1+rng.Intn(3) {
+			if w := rng.Intn(n); w != u && !slices.Contains(out, w) {
+				out = append(out, w)
+			}
+		}
+		return out
+	}
+	var batch []dynamic.Event
+	for len(batch) == 0 {
+		if rng.Intn(2) == 0 {
+			for k := 1 + rng.Intn(2); k > 0; {
+				u, v := rng.Intn(n), rng.Intn(n)
+				up := dynamic.Event{Kind: dynamic.LinkUp, U: u, V: v}
+				if u != v && !g.HasEdge(u, v) && !slices.ContainsFunc(batch, func(e dynamic.Event) bool {
+					return (e.U == u && e.V == v) || (e.U == v && e.V == u)
+				}) {
+					batch = append(batch, up)
+					k--
+				}
+			}
+		}
+		if es := g.Edges(); len(es) > 0 && rng.Intn(2) == 0 {
+			e := es[rng.Intn(len(es))]
+			batch = append(batch,
+				dynamic.Event{Kind: dynamic.LinkDown, U: e.U, V: e.V},
+				dynamic.Event{Kind: dynamic.LinkUp, U: e.U, V: e.V})
+		}
+		if rng.Intn(2) == 0 {
+			u := rng.Intn(n)
+			old := g.Neighbors(u)
+			batch = append(batch,
+				dynamic.Event{Kind: dynamic.NodeFail, U: u},
+				dynamic.Event{Kind: dynamic.NodeJoin, U: u, Peers: peers(u, old[:len(old)/2])})
+		}
+		if rng.Intn(2) == 0 {
+			u := rng.Intn(n)
+			batch = append(batch, dynamic.Event{Kind: dynamic.NodeMove, U: u, Peers: peers(u, nil)})
+		}
+	}
+	return batch
+}
+
+// TestEndpointAuditMatchesFullAudit is the audit oracle: on the post-delta,
+// pre-repair schedule of every batch, auditing only the colored arcs
+// incident to the added links' endpoints finds exactly the violated pairs
+// that AuditArcs over every colored arc finds, and the dirty set handed to
+// the repair is the added arcs plus those pairs' members. PatchRebuild
+// cannot catch an audit bug: both of its sessions share the audit.
+func TestEndpointAuditMatchesFullAudit(t *testing.T) {
+	up := newUpdater(t, 40, 100, 31)
+	rng := rand.New(rand.NewSource(32))
+	byPair := func(v []coloring.Violation) []coloring.Violation {
+		slices.SortFunc(v, func(x, y coloring.Violation) int {
+			if c := graph.CompareArcs(x.A, y.A); c != 0 {
+				return c
+			}
+			return graph.CompareArcs(x.B, y.B)
+		})
+		return v
+	}
+	violated := 0
+	up.stabilize = func(g *graph.Graph, as coloring.Assignment, dirty map[graph.Arc]bool) (int, float64, error) {
+		var added, colored []graph.Arc
+		for _, a := range g.ArcsView() {
+			if as[a] == coloring.None {
+				added = append(added, a)
+			} else {
+				colored = append(colored, a)
+			}
+		}
+		want := byPair(coloring.AuditArcs(g, as, colored))
+		if got := byPair(endpointAudit(g, as, added)); !slices.Equal(got, want) {
+			return 0, 0, fmt.Errorf("endpoint audit found %v, full audit %v", got, want)
+		}
+		wantDirty := make(map[graph.Arc]bool)
+		for _, a := range added {
+			wantDirty[a] = true
+		}
+		for _, w := range want {
+			wantDirty[w.A], wantDirty[w.B] = true, true
+		}
+		if !reflect.DeepEqual(dirty, wantDirty) {
+			return 0, 0, fmt.Errorf("dirty set has %d arcs, want %d", len(dirty), len(wantDirty))
+		}
+		violated += len(want)
+		return coloring.Stabilize(g, as, dirty)
+	}
+	for i := 0; i < 200; i++ {
+		batch := auditBatch(up.Graph(), rng)
+		if _, err := up.Apply(batch); err != nil {
+			t.Fatalf("batch %d %v: %v", i, batch, err)
+		}
+		if viols := coloring.Verify(up.Graph(), up.Assignment()); len(viols) != 0 {
+			t.Fatalf("batch %d: %d violations after repair, first %v", i, len(viols), viols[0])
+		}
+	}
+	if violated == 0 {
+		t.Fatal("no batch violated a pair: the audit was never exercised")
 	}
 }
