@@ -2,6 +2,7 @@ package fdlsp
 
 import (
 	"math/rand"
+	"slices"
 
 	"fdlsp/internal/broadcast"
 	"fdlsp/internal/coloring"
@@ -12,6 +13,7 @@ import (
 	"fdlsp/internal/dynamic"
 	"fdlsp/internal/energy"
 	"fdlsp/internal/geom"
+	"fdlsp/internal/graph"
 	"fdlsp/internal/incr"
 	"fdlsp/internal/opt"
 	"fdlsp/internal/sched"
@@ -76,9 +78,38 @@ func NewIncremental(g *Graph, as Assignment) (*IncrementalUpdater, error) { retu
 // StabilizeSchedule repairs as from the given dirty set with the shared
 // distributed-round local rule (≤|dirty| rounds; see DESIGN.md §11/§12),
 // returning the round count and the worst usable-frame fraction observed
-// while repair was in progress. The dirty map is consumed.
+// while repair was in progress. The dirty map is consumed: every entry
+// ends false once repair succeeds. Entries that are not arcs of g are
+// ignored. The repair runs on the dense slot store; as is converted to it
+// and the repaired slots of the dirty arcs are written back.
 func StabilizeSchedule(g *Graph, as Assignment, dirty map[Arc]bool) (rounds int, minUsable float64, err error) {
-	return coloring.Stabilize(g, as, dirty)
+	slots := coloring.SlotsOf(g, as)
+	var arcs []Arc
+	for a, d := range dirty {
+		if _, ok := g.ArcIndex(a); d && ok {
+			arcs = append(arcs, a)
+		}
+	}
+	slices.SortFunc(arcs, graph.CompareArcs)
+	ids := make([]int32, len(arcs))
+	for i, a := range arcs {
+		id, _ := g.ArcIndex(a)
+		ids[i] = int32(id)
+	}
+	rounds, minUsable, err = coloring.Stabilize(g, slots, ids)
+	for i, a := range arcs {
+		if c := slots[ids[i]]; c == coloring.None {
+			delete(as, a)
+		} else {
+			as[a] = int(c)
+		}
+	}
+	if err == nil {
+		for a := range dirty {
+			dirty[a] = false
+		}
+	}
+	return rounds, minUsable, err
 }
 
 // Quasi unit disk graphs and growth bounds -------------------------------------

@@ -36,6 +36,24 @@ func normalize(viols []Violation) []Violation {
 	return keep
 }
 
+// idsOf returns the stable ids of arcs, which must be arcs of g.
+func idsOf(g *graph.Graph, arcs []graph.Arc) []int32 {
+	ids := make([]int32, len(arcs))
+	for i, a := range arcs {
+		id, ok := g.ArcIndex(a)
+		if !ok {
+			panic("idsOf: not an arc of g")
+		}
+		ids[i] = int32(id)
+	}
+	return ids
+}
+
+// audit runs AuditArcs on the dense form of as.
+func audit(g *graph.Graph, as Assignment, arcs []graph.Arc) []Violation {
+	return AuditArcs(g, SlotsOf(g, as), idsOf(g, arcs))
+}
+
 func TestAuditArcsMatchesVerifyOnFullArcSet(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 20; trial++ {
@@ -51,7 +69,7 @@ func TestAuditArcsMatchesVerifyOnFullArcSet(t *testing.T) {
 			}
 		}
 		want := normalize(Verify(g, as))
-		got := normalize(AuditArcs(g, as, g.Arcs()))
+		got := normalize(audit(g, as, g.Arcs()))
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("trial %d: audit and verify disagree:\nverify: %v\naudit:  %v",
 				trial, want, got)
@@ -73,7 +91,7 @@ func TestAuditArcsDirtySubsetFindsLocalViolations(t *testing.T) {
 	a := graph.Arc{From: 0, To: 1}
 	b := graph.Arc{From: 2, To: 3}
 	as[a] = as[b] // introduce one clash
-	viols := AuditArcs(g, as, []graph.Arc{a})
+	viols := audit(g, as, []graph.Arc{a})
 	if len(viols) != 1 {
 		t.Fatalf("audit of the dirty arc found %v, want exactly the new pair", viols)
 	}
@@ -81,7 +99,7 @@ func TestAuditArcsDirtySubsetFindsLocalViolations(t *testing.T) {
 		t.Errorf("violation = %v, want {%v %v %d}", v, a, b, as[a])
 	}
 	// Auditing both members must not double-report the pair.
-	viols = AuditArcs(g, as, []graph.Arc{a, b})
+	viols = audit(g, as, []graph.Arc{a, b})
 	if len(viols) != 1 {
 		t.Errorf("pair double-reported: %v", viols)
 	}
@@ -93,11 +111,11 @@ func TestUsableArcs(t *testing.T) {
 	for i, arc := range g.Arcs() {
 		as[arc] = i + 1
 	}
-	usable, total := UsableArcs(g, as)
+	usable, total := UsableArcs(g, SlotsOf(g, as))
 	if usable != total || total != 6 {
 		t.Fatalf("clean schedule: usable=%d total=%d, want 6/6", usable, total)
 	}
-	if f := UsableFraction(g, as); f != 1 {
+	if f := UsableFraction(g, SlotsOf(g, as)); f != 1 {
 		t.Errorf("clean fraction = %v, want 1", f)
 	}
 
@@ -105,20 +123,20 @@ func TestUsableArcs(t *testing.T) {
 	a := graph.Arc{From: 0, To: 1}
 	b := graph.Arc{From: 2, To: 3}
 	as[a] = as[b]
-	usable, total = UsableArcs(g, as)
+	usable, total = UsableArcs(g, SlotsOf(g, as))
 	if usable != 4 || total != 6 {
 		t.Errorf("jammed pair: usable=%d total=%d, want 4/6", usable, total)
 	}
 
 	// An uncolored arc has no slot at all.
 	delete(as, a)
-	usable, _ = UsableArcs(g, as)
+	usable, _ = UsableArcs(g, SlotsOf(g, as))
 	if usable != 5 {
 		t.Errorf("after uncoloring the jammed arc: usable=%d, want 5", usable)
 	}
 
 	empty := graph.New(3)
-	if f := UsableFraction(empty, Assignment{}); f != 1 {
+	if f := UsableFraction(empty, SlotsOf(empty, Assignment{})); f != 1 {
 		t.Errorf("empty graph fraction = %v, want 1", f)
 	}
 }

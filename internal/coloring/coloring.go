@@ -43,9 +43,11 @@ func Conflict(g *graph.Graph, a, b graph.Arc) bool {
 }
 
 // conflictCache is the per-graph distance-2 conflict structure: for every
-// arc (by its stable graph.ArcIndex id) the sorted slice of conflicting
-// arcs, each an exact-size allocation of its own. After a topology
-// mutation the cache is *patched*, not rebuilt — it survives on
+// arc (by its stable graph.ArcIndex id) the ids of the conflicting arcs in
+// the arcs' (From, To) order, each row an exact-size allocation of its own.
+// Rows hold ids, not arcs, so a consumer holding a dense slot store reads a
+// conflicting arc's slot as slots[id]: no hashing, no arc comparison. After
+// a topology mutation the cache is *patched*, not rebuilt — it survives on
 // the graph's aux table (AuxSurvivesMutation) and re-syncs lazily from the
 // graph's edge-delta journal, replacing only the rows of arcs within
 // distance 2 of the flipped edges' endpoints. Only when the journal has
@@ -56,7 +58,7 @@ func Conflict(g *graph.Graph, a, b graph.Arc) bool {
 // epoch is advanced with a release store after all row writes, so the
 // epoch-equality fast path in cacheOf orders reads after the patch.
 type conflictCache struct {
-	conflicts [][]graph.Arc // by stable arc id; nil for unassigned/freed ids
+	conflicts [][]int32     // by stable arc id; nil for unassigned/freed ids
 	epoch     atomic.Uint64 // graph.MutEpoch the rows are synced to
 	mu        sync.Mutex    // serializes sync (patch or rebuild)
 
@@ -77,6 +79,22 @@ type conflictCache struct {
 // it from the mutation journal.
 func (*conflictCache) AuxSurvivesMutation() {}
 
+// ShareAux hands a graph.CloneShared clone a cache that shares this one's
+// immutable rows — the clone's arc ids are this graph's — provided the rows
+// are synced to src's current topology. Only the outer table is copied, so
+// the clone's first update patches instead of rebuilding every row.
+func (c *conflictCache) ShareAux(src, dst *graph.Graph) any {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.epoch.Load() != src.MutEpoch() {
+		return nil
+	}
+	s := newCacheShell()
+	s.conflicts = slices.Clone(c.conflicts)
+	s.epoch.Store(dst.MutEpoch())
+	return s
+}
+
 type conflictAuxKey struct{}
 
 func cacheOf(g *graph.Graph) *conflictCache {
@@ -87,9 +105,14 @@ func cacheOf(g *graph.Graph) *conflictCache {
 	return c
 }
 
-func newConflictCache(g *graph.Graph) *conflictCache {
+func newCacheShell() *conflictCache {
 	c := &conflictCache{}
 	c.scratch.New = func() any { return new([]bool) }
+	return c
+}
+
+func newConflictCache(g *graph.Graph) *conflictCache {
+	c := newCacheShell()
 	c.rebuild(g)
 	c.epoch.Store(g.MutEpoch())
 	return c
@@ -99,11 +122,13 @@ func newConflictCache(g *graph.Graph) *conflictCache {
 // exact-size allocation, so a row a later patch replaces is freed on its
 // own rather than pinning a slab shared with every other row.
 func (c *conflictCache) rebuild(g *graph.Graph) {
-	conflicts := make([][]graph.Arc, g.ArcIDBound())
+	conflicts := make([][]int32, g.ArcIDBound())
 	c.rows.fit(g.N())
-	for _, a := range g.ArcsView() {
-		id, _ := g.ArcIndex(a)
-		conflicts[id] = c.rows.row(g, a)
+	for v := 0; v < g.N(); v++ {
+		ids := g.OutArcIDsView(v)
+		for i, a := range g.OutArcsView(v) {
+			conflicts[ids[i]] = c.rows.row(g, a, ids[i])
+		}
 	}
 	c.conflicts = conflicts
 	c.builds.Add(1)
@@ -147,13 +172,14 @@ func (c *conflictCache) sync(g *graph.Graph) {
 // splice).
 func (c *conflictCache) patch(g *graph.Graph, ds []graph.EdgeDelta) {
 	c.rows.fit(g.N())
-	if bound := g.ArcIDBound(); bound > len(c.conflicts) {
-		grown := make([][]graph.Arc, bound)
+	bound := g.ArcIDBound()
+	if bound > len(c.conflicts) {
+		grown := make([][]int32, bound)
 		copy(grown, c.conflicts)
 		c.conflicts = grown
 	}
 	p := &c.patcher
-	inE, inS := p.advance(g.N())
+	inE, inS := p.advance(g.N(), bound)
 	p.nodes, p.flips = p.nodes[:0], p.flips[:0]
 	for _, d := range ds {
 		// Clear first: rows of removed arcs must die, and a freed id
@@ -161,7 +187,10 @@ func (c *conflictCache) patch(g *graph.Graph, ds []graph.EdgeDelta) {
 		// (its endpoints are in E).
 		c.conflicts[d.IDUV] = nil
 		c.conflicts[d.IDVU] = nil
-		p.flips = append(p.flips, graph.Arc{From: d.U, To: d.V}, graph.Arc{From: d.V, To: d.U})
+		uv, vu := graph.Arc{From: d.U, To: d.V}, graph.Arc{From: d.V, To: d.U}
+		p.touch(d.IDUV, uv, d.Added)
+		p.touch(d.IDVU, vu, d.Added)
+		p.flips = append(p.flips, flipArc{arc: uv}, flipArc{arc: vu})
 		for _, x := range [2]int{d.U, d.V} {
 			if p.node[x] != inE {
 				p.node[x] = inE
@@ -177,27 +206,31 @@ func (c *conflictCache) patch(g *graph.Graph, ds []graph.EdgeDelta) {
 			}
 		}
 	}
-	slices.SortFunc(p.flips, graph.CompareArcs)
-	p.flips = slices.Compact(p.flips)
-	p.live = p.live[:0]
-	for _, b := range p.flips {
-		p.live = append(p.live, g.HasEdge(b.From, b.To))
+	slices.SortFunc(p.flips, func(x, y flipArc) int { return graph.CompareArcs(x.arc, y.arc) })
+	p.flips = slices.CompactFunc(p.flips, func(x, y flipArc) bool { return x.arc == y.arc })
+	for i := range p.flips {
+		p.flips[i].id = -1
+		if id, ok := g.ArcIndex(p.flips[i].arc); ok {
+			p.flips[i].id = int32(id)
+		}
 	}
 
+	arcOf := g.ArcsByIDView()
 	rewritten := 0
 	for _, v := range p.nodes {
-		for _, a := range g.IncidentArcsView(v) {
+		ids := g.IncidentArcIDsView(v)
+		for i, a := range g.IncidentArcsView(v) {
 			// An arc with both endpoints in S is rewritten once, from its
 			// smaller endpoint.
 			w := a.From + a.To - v
 			if p.node[w] >= inE && w < v {
 				continue
 			}
-			id, _ := g.ArcIndex(a)
+			id := ids[i]
 			if p.node[a.From] == inE || p.node[a.To] == inE {
-				c.conflicts[id] = c.rows.row(g, a)
+				c.conflicts[id] = c.rows.row(g, a, id)
 			} else {
-				c.conflicts[id] = p.splice(g, a, c.conflicts[id])
+				c.conflicts[id] = p.splice(g, a, c.conflicts[id], arcOf)
 			}
 			rewritten++
 		}
@@ -214,25 +247,71 @@ type patchScratch struct {
 	nearH []uint32    // per node: row while in N(f) of the row being spliced
 	row   uint32      // advances by 1 per spliced row
 	nodes []int       // S = E ∪ N(E), E first
-	flips []graph.Arc // arcs of the batch's flipped edges, sorted, deduplicated
-	live  []bool      // per flips entry: an arc of the final topology
+	flips []flipArc   // arcs of the batch's flipped edges, sorted, deduplicated
 	cuts  []spliceCut // splice's scratch
+
+	// Per arc id: gen-1 once the batch first touched the id by an addition
+	// (it was free before the batch), gen once it first touched it by a
+	// removal. A removal-first id named preArc[id] before the batch, and
+	// only such ids of the batch can sit in an old row.
+	idGen  []uint32
+	preArc []graph.Arc
 }
 
-// advance starts a patch of an n-node graph and returns its E and S stamps.
-func (p *patchScratch) advance(n int) (inE, inS uint32) {
+// flipArc is one arc of a flipped edge with its id at the final topology,
+// or -1 when the batch left it out of the graph.
+type flipArc struct {
+	arc graph.Arc
+	id  int32
+}
+
+// advance starts a patch of an n-node graph with ids below bound and
+// returns its E and S stamps.
+func (p *patchScratch) advance(n, bound int) (inE, inS uint32) {
 	if len(p.node) < n {
 		p.node = make([]uint32, n)
 		p.nearT = make([]uint32, n)
 		p.nearH = make([]uint32, n)
 		p.gen, p.row = 0, 0
+		clear(p.idGen)
+	}
+	if len(p.idGen) < bound {
+		p.idGen = slices.Grow(p.idGen, bound-len(p.idGen))[:bound]
+		p.preArc = slices.Grow(p.preArc, bound-len(p.preArc))[:bound]
 	}
 	if p.gen > math.MaxUint32-2 {
 		clear(p.node)
+		clear(p.idGen)
 		p.gen = 0
 	}
 	p.gen += 2
 	return p.gen - 1, p.gen
+}
+
+// touch records the batch's first touch of id, by the addition or removal
+// of arc a.
+func (p *patchScratch) touch(id int32, a graph.Arc, added bool) {
+	if p.idGen[id] >= p.gen-1 {
+		return
+	}
+	if added {
+		p.idGen[id] = p.gen - 1
+		return
+	}
+	p.idGen[id] = p.gen
+	p.preArc[id] = a
+}
+
+// before returns the arc id named before the batch, for an id of an old
+// row. Freed ids are recycled LIFO within a batch, and a stream often
+// removes a link and adds another in one batch, so an old row can hold an
+// id that the id table now gives to a different arc: the stamp of a
+// removal-first id picks its pre-batch arc instead.
+func (p *patchScratch) before(id int32, arcOf []graph.Arc) graph.Arc {
+	if p.idGen[id] == p.gen {
+		return p.preArc[id]
+	}
+	return arcOf[id]
 }
 
 // splice returns the row of a = (f,t) — an arc with no endpoint in E — at
@@ -241,9 +320,11 @@ func (p *patchScratch) advance(n int) (inE, inS uint32) {
 // conflicts with a iff b.From ∈ N(t) or b.To ∈ N(f), and N(t), N(f) did not
 // change: such a b was in old iff it existed before the batch, and belongs
 // in the new row iff it is live. Every other flipped arc is in neither. One
-// pass locates the conflicting flipped arcs in old and sizes the row; a
-// second copies the untouched runs of old between them whole.
-func (p *patchScratch) splice(g *graph.Graph, a graph.Arc, old []graph.Arc) []graph.Arc {
+// pass locates the conflicting flipped arcs in old — by the arcs old's ids
+// named before the batch — and sizes the row; a second copies the untouched
+// runs of old between them whole, dropping the flipped ids old held and
+// putting in the final ids of the live ones.
+func (p *patchScratch) splice(g *graph.Graph, a graph.Arc, old []int32, arcOf []graph.Arc) []int32 {
 	if p.row == math.MaxUint32 {
 		clear(p.nearT)
 		clear(p.nearH)
@@ -259,23 +340,23 @@ func (p *patchScratch) splice(g *graph.Graph, a graph.Arc, old []graph.Arc) []gr
 	}
 	p.cuts = p.cuts[:0]
 	size, from := len(old), 0
-	for j, b := range p.flips {
-		if p.nearT[b.From] != s && p.nearH[b.To] != s {
+	for _, b := range p.flips {
+		if p.nearT[b.arc.From] != s && p.nearH[b.arc.To] != s {
 			continue
 		}
-		at, found := searchArc(old[from:], b)
+		at, found := p.search(old[from:], b.arc, arcOf)
 		at += from
 		from = at
 		if found {
 			from++
 			size--
 		}
-		if p.live[j] {
+		if b.id >= 0 {
 			size++
 		}
-		p.cuts = append(p.cuts, spliceCut{arc: b, at: at, found: found, keep: p.live[j]})
+		p.cuts = append(p.cuts, spliceCut{id: b.id, at: at, found: found})
 	}
-	row := make([]graph.Arc, 0, size)
+	row := make([]int32, 0, size)
 	from = 0
 	for _, c := range p.cuts {
 		row = append(row, old[from:c.at]...)
@@ -283,35 +364,35 @@ func (p *patchScratch) splice(g *graph.Graph, a graph.Arc, old []graph.Arc) []gr
 		if c.found {
 			from++
 		}
-		if c.keep {
-			row = append(row, c.arc)
+		if c.id >= 0 {
+			row = append(row, c.id)
 		}
 	}
 	return append(row, old[from:]...)
 }
 
 // spliceCut is where one conflicting flipped arc meets an old row: its
-// sorted position, whether the row held it, and whether the new row does.
+// sorted position, whether the row held it, and its id in the new row (-1:
+// not live).
 type spliceCut struct {
-	arc         graph.Arc
-	at          int
-	found, keep bool
+	at    int
+	found bool
+	id    int32
 }
 
-// searchArc returns the position of b in the (From, To)-sorted row and
-// whether row holds it. It is slices.BinarySearchFunc with the comparison
-// written inline, which a generic call through graph.CompareArcs is not.
-func searchArc(row []graph.Arc, b graph.Arc) (int, bool) {
+// search returns the position of b in an old row, sorted by the arcs its
+// ids named before the batch, and whether the row holds b.
+func (p *patchScratch) search(row []int32, b graph.Arc, arcOf []graph.Arc) (int, bool) {
 	lo, hi := 0, len(row)
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
-		if c := row[m]; c.From < b.From || (c.From == b.From && c.To < b.To) {
+		if c := p.before(row[m], arcOf); c.From < b.From || (c.From == b.From && c.To < b.To) {
 			lo = m + 1
 		} else {
 			hi = m
 		}
 	}
-	return lo, lo < len(row) && row[lo] == b
+	return lo, lo < len(row) && p.before(row[lo], arcOf) == b
 }
 
 // CacheStatsSnapshot reports the lifetime work of a graph's conflict cache:
@@ -356,7 +437,7 @@ type rowBuilder struct {
 	head  []uint32 // per node: gen-1 while in H
 	gen   uint32   // stamp of the row being built; advances by 2 per row
 	tails []int
-	buf   []graph.Arc
+	buf   []int32
 }
 
 var builderPool = sync.Pool{New: func() any { return new(rowBuilder) }}
@@ -370,11 +451,12 @@ func (rb *rowBuilder) fit(n int) {
 	}
 }
 
-// appendRow appends the sorted conflict row of a to dst. The cost is one
-// visit per neighbor of each node in {f} ∪ N(f) (collecting N(H)), one per
-// out-arc of each collected tail (emission), and an int sort of the tails —
+// appendRow appends the ids of the sorted conflict row of a, whose own id
+// is self (-1 for an arc outside g), to dst. The cost is one visit per
+// neighbor of each node in {f} ∪ N(f) (collecting N(H)), one per out-arc of
+// each collected tail (emission), and an int sort of the tails —
 // O(Σ_{y∈H} deg y + Σ_{x∈T∪N(H)} deg x + |tails|·log|tails|).
-func (rb *rowBuilder) appendRow(g *graph.Graph, a graph.Arc, dst []graph.Arc) []graph.Arc {
+func (rb *rowBuilder) appendRow(g *graph.Graph, a graph.Arc, self int32, dst []int32) []int32 {
 	if rb.gen > math.MaxUint32-2 {
 		clear(rb.tail)
 		clear(rb.head)
@@ -403,18 +485,18 @@ func (rb *rowBuilder) appendRow(g *graph.Graph, a graph.Arc, dst []graph.Arc) []
 	slices.Sort(rb.tails)
 
 	for _, x := range rb.tails {
-		out := g.OutArcsView(x)
+		ids := g.OutArcIDsView(x)
 		if rb.tail[x] == inT {
-			for _, b := range out {
-				if b != a {
+			for _, b := range ids {
+				if b != self {
 					dst = append(dst, b)
 				}
 			}
 			continue
 		}
-		for _, b := range out {
-			if rb.head[b.To] == inT {
-				dst = append(dst, b)
+		for i, y := range g.NeighborsView(x) {
+			if rb.head[y] == inT {
+				dst = append(dst, ids[i])
 			}
 		}
 	}
@@ -433,34 +515,47 @@ func (rb *rowBuilder) collect(inT, s uint32, xs ...int) {
 }
 
 // row returns a's conflict row as an exact-size copy (nil when empty).
-func (rb *rowBuilder) row(g *graph.Graph, a graph.Arc) []graph.Arc {
-	rb.buf = rb.appendRow(g, a, rb.buf[:0])
+func (rb *rowBuilder) row(g *graph.Graph, a graph.Arc, self int32) []int32 {
+	rb.buf = rb.appendRow(g, a, self, rb.buf[:0])
 	if len(rb.buf) == 0 {
 		return nil
 	}
-	row := make([]graph.Arc, len(rb.buf))
+	row := make([]int32, len(rb.buf))
 	copy(row, rb.buf)
 	return row
 }
 
-// ConflictingArcs returns every arc of g that conflicts with a, sorted. Per
-// Lemma 6 this set has at most 2Δ²-1 members: arcs touching a's endpoints,
-// out-arcs of a.To's neighbors and in-arcs of a.From's neighbors.
-//
-// The result is a shared slice from the per-graph conflict cache: callers
-// must treat it as read-only. It stays valid until the next AddEdge or
-// RemoveEdge on g.
-func ConflictingArcs(g *graph.Graph, a graph.Arc) []graph.Arc {
+// conflictIDs returns the id row of a: the cached row when a is an arc of
+// g, else a fresh one computed without touching the cache (callers probing
+// hypothetical links).
+func conflictIDs(g *graph.Graph, a graph.Arc) []int32 {
 	if i, ok := g.ArcIndex(a); ok {
 		return cacheOf(g).conflicts[i]
 	}
-	// a is not an arc of g (callers probing hypothetical links): compute a
-	// fresh set without touching the cache.
 	rb := builderPool.Get().(*rowBuilder)
 	rb.fit(g.N())
-	row := rb.row(g, a)
+	row := rb.row(g, a, -1)
 	builderPool.Put(rb)
 	return row
+}
+
+// ConflictingArcs returns every arc of g that conflicts with a, sorted, as
+// a fresh slice (nil when there is none). Per Lemma 6 this set has at most
+// 2Δ²-1 members: arcs touching a's endpoints, out-arcs of a.To's neighbors
+// and in-arcs of a.From's neighbors. It reads the per-graph conflict cache
+// and converts the row's ids to arcs; the maintenance path reads the id
+// rows directly.
+func ConflictingArcs(g *graph.Graph, a graph.Arc) []graph.Arc {
+	ids := conflictIDs(g, a)
+	if len(ids) == 0 {
+		return nil
+	}
+	arcOf := g.ArcsByIDView()
+	out := make([]graph.Arc, len(ids))
+	for i, id := range ids {
+		out[i] = arcOf[id]
+	}
+	return out
 }
 
 // Assignment maps each arc of the bi-directed graph to a color (time slot).
@@ -699,37 +794,69 @@ type SlotTable interface {
 	Set(a graph.Arc, c int)
 }
 
-// smallestFeasible returns the smallest color >= 1 not used by any arc
-// conflicting with a under the (possibly partial) knowledge know. The answer
-// is at most |conflicts(a)|+1, so a pooled []bool occupancy buffer of that
-// size replaces the per-call map the function used to allocate.
-func smallestFeasible(g *graph.Graph, know SlotTable, a graph.Arc) int {
-	cc := cacheOf(g)
-	confs := ConflictingArcs(g, a)
-	n := len(confs) + 2
-	bufp := cc.scratch.Get().(*[]bool)
-	used := *bufp
-	if cap(used) < n {
-		used = make([]bool, n)
+// occupancy borrows a cleared color-occupancy buffer for a conflict row of
+// the given length. The answer of a smallest-free-slot search is at most
+// len+1 (pigeonhole), so the buffer covers colors 0..len+1.
+func (c *conflictCache) occupancy(rowLen int) *[]bool {
+	n := rowLen + 2
+	bufp := c.scratch.Get().(*[]bool)
+	if cap(*bufp) < n {
+		*bufp = make([]bool, n)
 	} else {
-		used = used[:n]
-		clear(used)
+		*bufp = (*bufp)[:n]
+		clear(*bufp)
 	}
-	for _, b := range confs {
-		if c := know.Color(b); c != None && c < n {
-			used[c] = true
-		}
-	}
-	res := n - 1 // pigeonhole: some color in [1, len(confs)+1] is free
-	for c := 1; c < n; c++ {
-		if !used[c] {
-			res = c
+	return bufp
+}
+
+// lowestFree returns the smallest color >= 1 not marked in used and puts
+// the buffer back.
+func (c *conflictCache) lowestFree(bufp *[]bool) int {
+	used := *bufp
+	res := len(used) - 1
+	for col := 1; col < len(used); col++ {
+		if !used[col] {
+			res = col
 			break
 		}
 	}
-	*bufp = used
-	cc.scratch.Put(bufp)
+	c.scratch.Put(bufp)
 	return res
+}
+
+// smallestFeasible returns the smallest color >= 1 not used by any arc
+// conflicting with a under the (possibly partial) knowledge know.
+func smallestFeasible(g *graph.Graph, know SlotTable, a graph.Arc) int {
+	cc := cacheOf(g)
+	var row []int32
+	if id, ok := g.ArcIndex(a); ok {
+		row = cc.conflicts[id]
+	} else {
+		row = conflictIDs(g, a)
+	}
+	arcOf := g.ArcsByIDView()
+	bufp := cc.occupancy(len(row))
+	used := *bufp
+	for _, b := range row {
+		if c := know.Color(arcOf[b]); c != None && c < len(used) {
+			used[c] = true
+		}
+	}
+	return cc.lowestFree(bufp)
+}
+
+// smallestFree is smallestFeasible on a dense slot store: the smallest
+// color >= 1 no arc of id's conflict row holds in slots.
+func (c *conflictCache) smallestFree(slots []int32, id int32) int32 {
+	row := c.conflicts[id]
+	bufp := c.occupancy(len(row))
+	used := *bufp
+	for _, b := range row {
+		if col := slots[b]; col != None && int(col) < len(used) {
+			used[col] = true
+		}
+	}
+	return int32(c.lowestFree(bufp))
 }
 
 // AssignGreedyLocal colors each arc of arcs (in order, skipping already
@@ -753,13 +880,64 @@ func AssignGreedyLocal(g *graph.Graph, know SlotTable, arcs []graph.Arc) []graph
 // g, by default in lexicographic order when order is nil) with the smallest
 // feasible color. This is the greedyColor reference algorithm of Lemma 9:
 // it uses at most 2Δ² colors (Lemma 6) and is therefore a Δ-approximation
-// (Theorem 2).
+// (Theorem 2). order must list arcs of g. The coloring runs on a dense slot
+// store and is converted to an Assignment once at the end.
 func Greedy(g *graph.Graph, order []graph.Arc) Assignment {
-	if order == nil {
-		order = g.Arcs()
+	cc := cacheOf(g)
+	slots := make([]int32, g.ArcIDBound())
+	color := func(id int32) {
+		if slots[id] == None {
+			slots[id] = cc.smallestFree(slots, id)
+		}
 	}
+	if order == nil {
+		for v := 0; v < g.N(); v++ {
+			for _, id := range g.OutArcIDsView(v) {
+				color(id)
+			}
+		}
+	}
+	for _, a := range order {
+		id, ok := g.ArcIndex(a)
+		if !ok {
+			panic(fmt.Sprintf("coloring: Greedy order holds %v, not an arc of %v", a, g))
+		}
+		color(int32(id))
+	}
+	return AssignmentOf(g, slots)
+}
+
+// SlotsOf returns as as a dense slot store of g: entry id holds the slot of
+// the arc with stable id id (graph.ArcIndex), None for an uncolored arc or
+// a free id. The store has g.ArcIDBound() entries; arcs of as that are not
+// arcs of g are left out, and a slot outside [0, MaxInt32] becomes -1.
+func SlotsOf(g *graph.Graph, as Assignment) []int32 {
+	slots := make([]int32, g.ArcIDBound())
+	for v := 0; v < g.N(); v++ {
+		ids := g.OutArcIDsView(v)
+		for i, a := range g.OutArcsView(v) {
+			c := as[a]
+			if c < 0 || c > math.MaxInt32 {
+				c = -1
+			}
+			slots[ids[i]] = int32(c)
+		}
+	}
+	return slots
+}
+
+// AssignmentOf returns the Assignment of a dense slot store of g: every
+// live arc with a slot.
+func AssignmentOf(g *graph.Graph, slots []int32) Assignment {
 	as := NewAssignment(g)
-	AssignGreedyLocal(g, as, order)
+	for v := 0; v < g.N(); v++ {
+		ids := g.OutArcIDsView(v)
+		for i, a := range g.OutArcsView(v) {
+			if c := slots[ids[i]]; c != None {
+				as[a] = int(c)
+			}
+		}
+	}
 	return as
 }
 
@@ -772,13 +950,16 @@ func ConflictGraph(g *graph.Graph) (*graph.Graph, []graph.Arc) {
 	// Vertex numbering follows the sorted arc list, not graph.ArcIndex:
 	// stable arc ids drift from sorted positions once the topology has been
 	// patched, and the conflict graph's vertices must stay position-keyed.
-	pos := make(map[graph.Arc]int, len(arcs))
+	pos := make([]int, g.ArcIDBound())
 	for i, a := range arcs {
-		pos[a] = i
+		id, _ := g.ArcIndex(a)
+		pos[id] = i
 	}
+	cc := cacheOf(g)
 	cg := graph.New(len(arcs))
 	for i, a := range arcs {
-		for _, b := range ConflictingArcs(g, a) {
+		id, _ := g.ArcIndex(a)
+		for _, b := range cc.conflicts[id] {
 			if j := pos[b]; i < j {
 				cg.AddEdge(i, j)
 			}

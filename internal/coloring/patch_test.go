@@ -148,10 +148,12 @@ func checkSplicedBatch(t *testing.T, g *graph.Graph, mutate func(*graph.Graph)) 
 	}
 	rb := new(rowBuilder)
 	rb.fit(g.N())
+	rows := cacheOf(g).conflicts
 	rewritten := 0
 	for _, a := range g.ArcsView() {
-		got := ConflictingArcs(g, a)
-		if want := rb.row(g, a); !slices.Equal(got, want) {
+		id, _ := g.ArcIndex(a)
+		got := rows[id]
+		if want := rb.row(g, a, int32(id)); !slices.Equal(got, want) {
 			t.Fatalf("row of %v\n got: %v\nfresh: %v", a, got, want)
 		}
 		if inS[a.From] || inS[a.To] {
@@ -159,7 +161,7 @@ func checkSplicedBatch(t *testing.T, g *graph.Graph, mutate func(*graph.Graph)) 
 			if cap(got) != len(got) {
 				t.Fatalf("rewritten row of %v has cap %d, len %d", a, cap(got), len(got))
 			}
-		} else if !slices.Equal(got, before[a]) {
+		} else if !slices.Equal(ConflictingArcs(g, a), before[a]) {
 			t.Fatalf("row of %v outside S changed", a)
 		}
 	}
@@ -237,6 +239,74 @@ func TestConflictCacheSpliceRows(t *testing.T) {
 			if slices.Contains(row, arc(5, 6)) || slices.Contains(row, arc(6, 5)) {
 				t.Fatalf("row of %v still holds the removed link: %v", a, row)
 			}
+		}
+	})
+}
+
+// TestConflictCacheSpliceRecycledIDs pins the splice across recycled ids:
+// freed ids are reused LIFO within a batch, so a batch that removes a link
+// and then adds another leaves old rows holding ids that the id table now
+// gives to the new link's arcs. Every row must still equal a fresh build.
+func TestConflictCacheSpliceRecycledIDs(t *testing.T) {
+	arc := func(u, v int) graph.Arc { return graph.Arc{From: u, To: v} }
+
+	t.Run("grid", func(t *testing.T) {
+		// 4×4 grid as in TestConflictCacheSpliceRows. (6,5) sits in the row
+		// of (1,2), which is spliced (1 ∈ N(5), 2 ∈ N(6)); the new link
+		// {9,14} takes its id but does not conflict with (1,2).
+		g := graph.Grid(4, 4)
+		_ = CacheStats(g)
+		id65, _ := g.ArcIndex(arc(6, 5))
+		before := checkSplicedBatch(t, g, func(g *graph.Graph) {
+			g.RemoveEdge(5, 6)
+			g.AddEdge(9, 14)
+		})
+		if id, _ := g.ArcIndex(arc(9, 14)); id != id65 {
+			t.Fatalf("(9,14) got id %d, want the freed id %d of (6,5)", id, id65)
+		}
+		if !slices.Contains(before[arc(1, 2)], arc(6, 5)) {
+			t.Fatalf("(6,5) was not in the row of (1,2): %v", before[arc(1, 2)])
+		}
+		if row := ConflictingArcs(g, arc(1, 2)); slices.Contains(row, arc(9, 14)) || slices.Contains(row, arc(6, 5)) {
+			t.Fatalf("row of (1,2) kept the recycled id: %v", row)
+		}
+	})
+
+	t.Run("stream", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(33))
+		const n = 24
+		g := graph.ConnectedGNM(n, 60, rng)
+		_ = CacheStats(g)
+		held := 0
+		for batch := 0; batch < 120; batch++ {
+			edges := g.Edges()
+			drop := edges[rng.Intn(len(edges))]
+			var add graph.Edge
+			for {
+				u, v := rng.Intn(n), rng.Intn(n)
+				if u != v && !g.HasEdge(u, v) && graph.NormEdge(u, v) != drop {
+					add = graph.NormEdge(u, v)
+					break
+				}
+			}
+			freed, _ := g.ArcIndex(graph.Arc{From: drop.U, To: drop.V})
+			before := checkSplicedBatch(t, g, func(g *graph.Graph) {
+				g.RemoveEdge(drop.U, drop.V)
+				g.AddEdge(add.U, add.V)
+			})
+			// Count batches where a row the patch spliced held the recycled
+			// id before the batch.
+			for a, row := range before {
+				if slices.Contains(row, graph.Arc{From: drop.U, To: drop.V}) && g.HasEdge(a.From, a.To) {
+					if id, _ := g.ArcIndex(graph.Arc{From: add.V, To: add.U}); id == freed {
+						held++
+						break
+					}
+				}
+			}
+		}
+		if held == 0 {
+			t.Fatal("no batch left a recycled id in an old row")
 		}
 	})
 }

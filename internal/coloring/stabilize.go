@@ -7,14 +7,14 @@ import (
 	"fdlsp/internal/graph"
 )
 
-// Stabilize repairs the schedule from the given dirty set using a
-// distributed-round local rule, and returns the number of rounds taken plus
-// the worst usable-frame fraction observed while repair was in progress.
-// It is the repair rule of internal/incr, the one maintenance path: every
-// live schedule — fdlspd sessions, the churn soak, the churn experiments —
-// is repaired by it from a dirty set incr derives from a topology delta,
-// under the same convergence bound. Entries of dirty are flipped to false as
-// arcs come clean; the map is consumed, not preserved.
+// Stabilize repairs the dense slot store slots (see SlotsOf) from the dirty
+// arcs, given by stable id, using a distributed-round local rule, and
+// returns the number of rounds taken plus the worst usable-frame fraction
+// observed while repair was in progress. It is the repair rule of
+// internal/incr, the one maintenance path: every live schedule — fdlspd
+// sessions, the churn soak, the churn experiments — is repaired by it from
+// a dirty set incr derives from a topology delta, under the same
+// convergence bound. dirty is read, not modified; duplicate ids count once.
 //
 // The rule models what each sensor could do with its distance-2 color
 // knowledge: per round, every dirty arc (uncolored, or sharing its slot with
@@ -39,34 +39,42 @@ import (
 // lost its own slot, can change usable status (see usableTracker.moved).
 // Repair therefore costs O(|dirty|·Δ²) to start and O(|actors|·Δ²) per
 // round plus Δ² per re-checked arc, never a term proportional to the whole
-// graph's arc count.
-func Stabilize(g *graph.Graph, as Assignment, dirty map[graph.Arc]bool) (rounds int, minUsable float64, err error) {
+// graph's arc count. Dirty and unusable membership are stamp sets over arc
+// ids and every conflict-row scan reads slots[id]: no map on the path.
+func Stabilize(g *graph.Graph, slots []int32, dirty []int32) (rounds int, minUsable float64, err error) {
 	minUsable = 1
 	if len(dirty) == 0 {
 		return 0, minUsable, nil
 	}
-	// Deterministic worklist: sorted arcs, membership in the map.
-	work := make([]graph.Arc, 0, len(dirty))
-	for a := range dirty {
-		work = append(work, a)
+	cc := cacheOf(g)
+	arcOf := g.ArcsByIDView()
+	sc := getScratch(g.ArcIDBound())
+	defer scratchPool.Put(sc)
+	// Deterministic worklist: ids sorted by arc, membership in the stamp set.
+	work := sc.work[:0]
+	for _, id := range dirty {
+		if sc.dirty.Add(id) {
+			work = append(work, id)
+		}
 	}
-	slices.SortFunc(work, graph.CompareArcs)
+	slices.SortFunc(work, func(x, y int32) int { return graph.CompareArcs(arcOf[x], arcOf[y]) })
+	defer func() { sc.work = work[:0] }()
 
-	ut := newUsableTracker(g, as, work)
+	ut := newUsableTracker(cc, slots, &sc.unusable, 2*g.M(), work)
 	budget := 2*len(work) + 8
-	var actors []graph.Arc
-	var olds []int
+	actors, olds := sc.actors[:0], sc.olds[:0]
+	defer func() { sc.actors, sc.olds = actors[:0], olds[:0] }()
 	for {
 		// Re-filter: an arc is still dirty if uncolored or clashing.
 		live := work[:0]
 		for _, a := range work {
-			if !dirty[a] {
+			if !sc.dirty.Has(a) {
 				continue
 			}
-			if arcDirty(g, as, a) {
+			if cc.arcDirty(slots, a) {
 				live = append(live, a)
 			} else {
-				dirty[a] = false
+				sc.dirty.Remove(a)
 			}
 		}
 		work = live
@@ -86,15 +94,15 @@ func Stabilize(g *graph.Graph, as Assignment, dirty map[graph.Arc]bool) (rounds 
 		// (all sensors decide simultaneously on the previous round's state).
 		actors, olds = actors[:0], olds[:0]
 		for _, a := range work {
-			if actsThisRound(g, a, dirty) {
+			if actsThisRound(cc, arcOf, a, &sc.dirty) {
 				actors = append(actors, a)
 			}
 		}
 		for _, a := range actors {
-			olds = append(olds, as[a])
-			delete(as, a)
-			as.Set(a, smallestFeasible(g, as, a))
-			dirty[a] = false
+			olds = append(olds, slots[a])
+			slots[a] = None
+			slots[a] = cc.smallestFree(slots, a)
+			sc.dirty.Remove(a)
 		}
 		// Incremental usable maintenance: only the actors, and the arcs of
 		// their conflict sets sitting on an actor's old or new slot, can
@@ -105,26 +113,11 @@ func Stabilize(g *graph.Graph, as Assignment, dirty map[graph.Arc]bool) (rounds 
 	}
 }
 
-// arcDirty reports whether a needs repair under as: no slot, or a
-// conflicting arc holds the same slot.
-func arcDirty(g *graph.Graph, as Assignment, a graph.Arc) bool {
-	c := as[a]
-	if c == None {
-		return true
-	}
-	for _, b := range ConflictingArcs(g, a) {
-		if as[b] == c {
-			return true
-		}
-	}
-	return false
-}
-
 // actsThisRound implements the local priority rule: a acts iff no smaller
 // dirty arc conflicts with it.
-func actsThisRound(g *graph.Graph, a graph.Arc, dirty map[graph.Arc]bool) bool {
-	for _, b := range ConflictingArcs(g, a) {
-		if dirty[b] && graph.CompareArcs(b, a) < 0 {
+func actsThisRound(cc *conflictCache, arcOf []graph.Arc, a int32, dirty *IDSet) bool {
+	for _, b := range cc.conflicts[a] {
+		if dirty.Has(b) && graph.CompareArcs(arcOf[b], arcOf[a]) < 0 {
 			return false
 		}
 	}
@@ -137,46 +130,24 @@ func actsThisRound(g *graph.Graph, a graph.Arc, dirty map[graph.Arc]bool) bool {
 // Stabilize's own precondition — every arc violating the schedule is in the
 // dirty set (clashes are symmetric: both members of a same-slot pair are
 // unusable AND dirty, so unusable ⊆ dirty) — which makes startup
-// O(|dirty|·Δ²) instead of the O(arcs·Δ²) full audit plus O(arcs)
-// allocation the tracker used to pay. fraction is exactly UsableFraction
-// (same integer counts, same division). moved re-derives the status of an
-// arc whose color changed and of the conflicting arcs that change can
-// affect; recheck re-derives one arc's status.
+// O(|dirty|·Δ²) instead of the O(arcs·Δ²) full audit. fraction is exactly
+// UsableFraction (same integer counts, same division). moved re-derives the
+// status of an arc whose color changed and of the conflicting arcs that
+// change can affect; recheck re-derives one arc's status.
 type usableTracker struct {
-	g        *graph.Graph
-	as       Assignment
-	unusable map[graph.Arc]struct{}
+	cc       *conflictCache
+	slots    []int32
+	unusable *IDSet
+	count    int // members of unusable
 	total    int
 }
 
-func newUsableTracker(g *graph.Graph, as Assignment, seed []graph.Arc) *usableTracker {
-	t := &usableTracker{
-		g:        g,
-		as:       as,
-		unusable: make(map[graph.Arc]struct{}, len(seed)),
-		total:    2 * g.M(),
-	}
+func newUsableTracker(cc *conflictCache, slots []int32, unusable *IDSet, total int, seed []int32) *usableTracker {
+	t := &usableTracker{cc: cc, slots: slots, unusable: unusable, total: total}
 	for _, a := range seed {
-		if !arcUsable(g, as, a) {
-			t.unusable[a] = struct{}{}
-		}
+		t.recheck(a)
 	}
 	return t
-}
-
-// arcUsable mirrors the per-arc predicate of UsableArcs: colored, and no
-// conflicting arc shares the slot.
-func arcUsable(g *graph.Graph, as Assignment, a graph.Arc) bool {
-	c := as[a]
-	if c == None {
-		return false
-	}
-	for _, b := range ConflictingArcs(g, a) {
-		if as[b] == c {
-			return false
-		}
-	}
-	return true
 }
 
 // moved re-derives usable status after actor a went from slot old to its
@@ -186,29 +157,27 @@ func arcUsable(g *graph.Graph, as Assignment, a graph.Arc) bool {
 // conflict set; conflict is symmetric, so a is in that set, and a's move
 // can only have made a clash on old vanish or one on the new slot appear.
 // An uncolored b stays unusable and a b on any other slot is untouched.
-func (t *usableTracker) moved(a graph.Arc, old int) {
+func (t *usableTracker) moved(a int32, old int32) {
 	t.recheck(a)
-	cur := t.as[a]
-	for _, b := range ConflictingArcs(t.g, a) {
-		if c := t.as[b]; c != None && (c == old || c == cur) {
+	cur := t.slots[a]
+	for _, b := range t.cc.conflicts[a] {
+		if c := t.slots[b]; c != None && (c == old || c == cur) {
 			t.recheck(b)
 		}
 	}
 }
 
-func (t *usableTracker) recheck(a graph.Arc) {
-	if _, ok := t.g.ArcIndex(a); !ok {
-		delete(t.unusable, a)
-		return
-	}
-	if arcUsable(t.g, t.as, a) {
-		delete(t.unusable, a)
-	} else {
-		t.unusable[a] = struct{}{}
+func (t *usableTracker) recheck(a int32) {
+	if t.cc.arcDirty(t.slots, a) {
+		if t.unusable.Add(a) {
+			t.count++
+		}
+	} else if t.unusable.Remove(a) {
+		t.count--
 	}
 }
 
-func (t *usableTracker) usableCount() int { return t.total - len(t.unusable) }
+func (t *usableTracker) usableCount() int { return t.total - t.count }
 
 func (t *usableTracker) fraction() float64 {
 	if t.total == 0 {

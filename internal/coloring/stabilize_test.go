@@ -4,18 +4,82 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
 	"fdlsp/internal/graph"
 )
 
-// referenceStabilize is the pre-extraction soak implementation: identical
-// rule, but the usable fraction re-audited from scratch every round with
-// UsableFraction. Stabilize must match it exactly — same rounds, same
-// minUsable bits, same final schedule — which is the equivalence assertion
-// for the incremental usable-count tracker.
-func referenceStabilize(g *graph.Graph, as Assignment, dirty map[graph.Arc]bool) (rounds int, minUsable float64, err error) {
+// The map model below is the maintenance path as it was written before the
+// dense slot store: an Assignment map, a map dirty set, conflict rows as
+// arcs, and the usable fraction re-audited from scratch every round. It
+// lives only here, as the reference the dense AuditArcs and Stabilize must
+// match exactly — same violations, same rounds, same minUsable bits, same
+// final slots.
+
+// mapDirty reports whether a needs repair under as.
+func mapDirty(g *graph.Graph, as Assignment, a graph.Arc) bool {
+	c := as[a]
+	if c == None {
+		return true
+	}
+	for _, b := range ConflictingArcs(g, a) {
+		if as[b] == c {
+			return true
+		}
+	}
+	return false
+}
+
+// mapUsableFraction is UsableFraction over the map.
+func mapUsableFraction(g *graph.Graph, as Assignment) float64 {
+	arcs := g.ArcsView()
+	if len(arcs) == 0 {
+		return 1
+	}
+	usable := 0
+	for _, a := range arcs {
+		if !mapDirty(g, as, a) {
+			usable++
+		}
+	}
+	return float64(usable) / float64(len(arcs))
+}
+
+// mapAudit is AuditArcs over the map, deduplicating with a map.
+func mapAudit(g *graph.Graph, as Assignment, arcs []graph.Arc) []Violation {
+	var viols []Violation
+	seen := make(map[Violation]bool)
+	for _, a := range arcs {
+		c := as[a]
+		if c == None {
+			v := Violation{A: a, B: a, Color: None}
+			if !seen[v] {
+				seen[v] = true
+				viols = append(viols, v)
+			}
+			continue
+		}
+		for _, b := range ConflictingArcs(g, a) {
+			if as[b] != c {
+				continue
+			}
+			v := Violation{A: a, B: b, Color: c}
+			if graph.CompareArcs(b, a) < 0 {
+				v.A, v.B = b, a
+			}
+			if !seen[v] {
+				seen[v] = true
+				viols = append(viols, v)
+			}
+		}
+	}
+	return viols
+}
+
+// mapStabilize is Stabilize over the map.
+func mapStabilize(g *graph.Graph, as Assignment, dirty map[graph.Arc]bool) (rounds int, minUsable float64, err error) {
 	minUsable = 1
 	if len(dirty) == 0 {
 		return 0, minUsable, nil
@@ -33,7 +97,7 @@ func referenceStabilize(g *graph.Graph, as Assignment, dirty map[graph.Arc]bool)
 			if !dirty[a] {
 				continue
 			}
-			if arcDirty(g, as, a) {
+			if mapDirty(g, as, a) {
 				live = append(live, a)
 			} else {
 				dirty[a] = false
@@ -46,13 +110,20 @@ func referenceStabilize(g *graph.Graph, as Assignment, dirty map[graph.Arc]bool)
 		if rounds >= budget {
 			return rounds, minUsable, fmt.Errorf("reference: exceeded %d rounds", budget)
 		}
-		if u := UsableFraction(g, as); u < minUsable {
+		if u := mapUsableFraction(g, as); u < minUsable {
 			minUsable = u
 		}
 		rounds++
-		actors := make([]graph.Arc, 0, len(work))
+		var actors []graph.Arc
 		for _, a := range work {
-			if actsThisRound(g, a, dirty) {
+			acts := true
+			for _, b := range ConflictingArcs(g, a) {
+				if dirty[b] && graph.CompareArcs(b, a) < 0 {
+					acts = false
+					break
+				}
+			}
+			if acts {
 				actors = append(actors, a)
 			}
 		}
@@ -66,7 +137,7 @@ func referenceStabilize(g *graph.Graph, as Assignment, dirty map[graph.Arc]bool)
 
 // perturb jams or clears a random subset of arcs and returns the dirty set
 // covering every violation it introduced (the perturbed arcs plus their
-// clashing partners, via the incremental audit).
+// clashing partners, via the map audit).
 func perturb(g *graph.Graph, as Assignment, rng *rand.Rand) map[graph.Arc]bool {
 	arcs := g.ArcsView()
 	dirty := make(map[graph.Arc]bool)
@@ -81,25 +152,35 @@ func perturb(g *graph.Graph, as Assignment, rng *rand.Rand) map[graph.Arc]bool {
 		touched = append(touched, a)
 		dirty[a] = true
 	}
-	for _, v := range AuditArcs(g, as, touched) {
+	for _, v := range mapAudit(g, as, touched) {
 		dirty[v.A] = true
 		dirty[v.B] = true
 	}
 	return dirty
 }
 
-func cloneDirty(d map[graph.Arc]bool) map[graph.Arc]bool {
-	c := make(map[graph.Arc]bool, len(d))
-	for k, v := range d {
-		c[k] = v
+// dirtyIDs returns the ids of the true entries of dirty, in random order
+// with a duplicate, which Stabilize must not care about.
+func dirtyIDs(g *graph.Graph, dirty map[graph.Arc]bool, rng *rand.Rand) []int32 {
+	var arcs []graph.Arc
+	for a, d := range dirty {
+		if d {
+			arcs = append(arcs, a)
+		}
 	}
-	return c
+	slices.SortFunc(arcs, graph.CompareArcs)
+	ids := idsOf(g, arcs)
+	rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+	if len(ids) > 0 {
+		ids = append(ids, ids[0])
+	}
+	return ids
 }
 
-// TestStabilizeMatchesFullAuditReference pins the incremental usable-count
-// tracker to the full per-round audit: across random graphs and
-// perturbations both implementations must agree on rounds, the exact
-// minUsable float, and the repaired schedule.
+// TestStabilizeMatchesFullAuditReference pins Stabilize, with its
+// incremental usable-count tracker, to the map model's full per-round
+// audit: across random graphs and perturbations both must agree on rounds,
+// the exact minUsable float, and the repaired schedule.
 func TestStabilizeMatchesFullAuditReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 40; trial++ {
@@ -109,9 +190,9 @@ func TestStabilizeMatchesFullAuditReference(t *testing.T) {
 		as := Greedy(g, nil)
 		dirty := perturb(g, as, rng)
 
-		asRef := as.Clone()
-		rounds, minU, err := Stabilize(g, as, cloneDirty(dirty))
-		roundsRef, minURef, errRef := referenceStabilize(g, asRef, cloneDirty(dirty))
+		slots := SlotsOf(g, as)
+		rounds, minU, err := Stabilize(g, slots, dirtyIDs(g, dirty, rng))
+		roundsRef, minURef, errRef := mapStabilize(g, as, dirty)
 		if (err == nil) != (errRef == nil) {
 			t.Fatalf("trial %d: error mismatch: %v vs %v", trial, err, errRef)
 		}
@@ -121,12 +202,75 @@ func TestStabilizeMatchesFullAuditReference(t *testing.T) {
 		if minU != minURef {
 			t.Fatalf("trial %d: minUsable %v, reference %v", trial, minU, minURef)
 		}
-		if !reflect.DeepEqual(as, asRef) {
+		if got := AssignmentOf(g, slots); !reflect.DeepEqual(got, as) {
 			t.Fatalf("trial %d: repaired schedules diverge", trial)
 		}
 		if viols := Verify(g, as); len(viols) != 0 {
 			t.Fatalf("trial %d: %d residual violations after repair", trial, len(viols))
 		}
+	}
+}
+
+// TestDenseRepairMatchesMapReference runs AuditArcs and Stabilize on the
+// dense slot store and on the map model over seeded graphs whose topology
+// was patched first — so stable ids are recycled and no longer match
+// sorted positions — and requires the same violations, rounds, minUsable
+// and final slots.
+func TestDenseRepairMatchesMapReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	recycled := 0
+	for trial := 0; trial < 30; trial++ {
+		n := 10 + rng.Intn(20)
+		g := graph.ConnectedGNM(n, n+rng.Intn(2*n), rng)
+		_ = CacheStats(g) // warm, so the flips below patch
+		for i := 0; i < n; i++ {
+			u, v := rng.Intn(n), rng.Intn(n)
+			switch {
+			case u == v:
+			case g.HasEdge(u, v):
+				g.RemoveEdge(u, v)
+			default:
+				g.AddEdge(u, v)
+			}
+		}
+		for i, a := range g.ArcsView() {
+			if id, _ := g.ArcIndex(a); id != i {
+				recycled++
+				break
+			}
+		}
+		as := Greedy(g, nil)
+		if len(g.ArcsView()) == 0 {
+			continue
+		}
+		dirty := perturb(g, as, rng)
+
+		// Audit every arc, in a shuffled order with repeats.
+		arcs := append([]graph.Arc(nil), g.ArcsView()...)
+		rng.Shuffle(len(arcs), func(i, j int) { arcs[i], arcs[j] = arcs[j], arcs[i] })
+		arcs = append(arcs, arcs[:len(arcs)/4]...)
+		slots := SlotsOf(g, as)
+		if got, want := AuditArcs(g, slots, idsOf(g, arcs)), mapAudit(g, as, arcs); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: audit diverges\n dense: %v\n   map: %v", trial, got, want)
+		}
+
+		rounds, minU, err := Stabilize(g, slots, dirtyIDs(g, dirty, rng))
+		roundsRef, minURef, errRef := mapStabilize(g, as, dirty)
+		if err != nil || errRef != nil {
+			t.Fatalf("trial %d: repair failed: %v / %v", trial, err, errRef)
+		}
+		if rounds != roundsRef || minU != minURef {
+			t.Fatalf("trial %d: rounds %d minUsable %v, reference %d %v", trial, rounds, minU, roundsRef, minURef)
+		}
+		if got := AssignmentOf(g, slots); !reflect.DeepEqual(got, as) {
+			t.Fatalf("trial %d: repaired slots diverge\n dense: %v\n   map: %v", trial, got, as)
+		}
+		if got, want := UsableFraction(g, slots), mapUsableFraction(g, as); got != want {
+			t.Fatalf("trial %d: usable fraction %v, reference %v", trial, got, want)
+		}
+	}
+	if recycled == 0 {
+		t.Fatal("no trial scrambled the arc ids; the stream does not exercise recycling")
 	}
 }
 
@@ -138,39 +282,42 @@ func TestStabilizeMatchesFullAuditReference(t *testing.T) {
 func TestUsableTrackerMatchesUsableArcs(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := graph.ConnectedGNM(20, 45, rng)
-	as := Greedy(g, nil)
+	slots := SlotsOf(g, Greedy(g, nil))
+	cc := cacheOf(g)
 	// A complete greedy schedule has no unusable arcs, so the empty seed is
 	// the exact sparse state to start from.
-	ut := newUsableTracker(g, as, nil)
-	arcs := g.ArcsView()
+	var unusable IDSet
+	unusable.Reset(g.ArcIDBound())
+	ut := newUsableTracker(cc, slots, &unusable, 2*g.M(), nil)
+	ids := idsOf(g, g.ArcsView())
 	var same, toNone, intoClash, outOfClash int
 	for step := 0; step < 400; step++ {
-		a := arcs[rng.Intn(len(arcs))]
-		old := as[a]
-		wasUsable := arcUsable(g, as, a)
+		a := ids[rng.Intn(len(ids))]
+		old := slots[a]
+		wasUsable := !cc.arcDirty(slots, a)
 		switch rng.Intn(4) {
 		case 0:
-			delete(as, a)
+			slots[a] = None
 		case 1:
-			as[a] = 1 + rng.Intn(4)
+			slots[a] = int32(1 + rng.Intn(4))
 		case 2:
-			delete(as, a)
-			AssignGreedyLocal(g, as, []graph.Arc{a})
+			slots[a] = None
+			slots[a] = cc.smallestFree(slots, a)
 		default:
 			// Same slot: the move is a no-op for every arc.
 		}
-		switch cur := as[a]; {
+		switch cur := slots[a]; {
 		case cur == old:
 			same++
 		case cur == None:
 			toNone++
-		case !arcUsable(g, as, a):
+		case cc.arcDirty(slots, a):
 			intoClash++
 		case old != None && !wasUsable:
 			outOfClash++
 		}
 		ut.moved(a, old)
-		wantUsable, wantTotal := UsableArcs(g, as)
+		wantUsable, wantTotal := UsableArcs(g, slots)
 		if ut.usableCount() != wantUsable || ut.total != wantTotal {
 			t.Fatalf("step %d: tracker %d/%d, full audit %d/%d",
 				step, ut.usableCount(), ut.total, wantUsable, wantTotal)
@@ -186,8 +333,8 @@ func TestUsableTrackerMatchesUsableArcs(t *testing.T) {
 // fully usable.
 func TestStabilizeEmptyDirty(t *testing.T) {
 	g := graph.Path(4)
-	as := Greedy(g, nil)
-	rounds, minU, err := Stabilize(g, as, map[graph.Arc]bool{})
+	slots := SlotsOf(g, Greedy(g, nil))
+	rounds, minU, err := Stabilize(g, slots, nil)
 	if err != nil || rounds != 0 || minU != 1 {
 		t.Fatalf("got rounds=%d minUsable=%v err=%v, want 0, 1, nil", rounds, minU, err)
 	}

@@ -504,8 +504,21 @@ func DFS(g *graph.Graph, opts DFSOptions) (*Result, error) {
 	ttot := transport.Totals{PerNode: make([]transport.Counters, g.N())}
 	var crashed []int
 	var rejoin RejoinStats
-	for ci, comp := range g.Components() {
-		sub, ids := g.InducedSubgraph(comp)
+	comps := g.Components()
+	for ci, comp := range comps {
+		// A connected g runs as itself: the induced copy would be g with
+		// the identity id map, and copying it would rebuild the topology
+		// cache, the conflict cache and the per-node local view.
+		var sub *graph.Graph
+		var ids []int
+		if len(comps) == 1 {
+			sub, ids = g, make([]int, g.N())
+			for v := range ids {
+				ids[v] = v
+			}
+		} else {
+			sub, ids = g.InducedSubgraph(comp)
+		}
 		subOpts := opts
 		subOpts.Fault = remapPlan(opts.Fault, ids, int64(ci))
 		subAs, stats, tt, subCrashed, subRejoin, err := dfsConnected(sub, subOpts, opts.Seed+int64(ci)*7_368_787)

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"fdlsp/internal/coloring"
-	"fdlsp/internal/graph"
 	"fdlsp/internal/sim"
 )
 
@@ -42,11 +41,15 @@ func TestProbeObservesRepairInProgress(t *testing.T) {
 			if len(as) != colored {
 				t.Errorf("PartialSchedule has %d arcs, ColoredArcs says %d", len(as), colored)
 			}
-			arcs := make([]graph.Arc, 0, len(as))
+			ids := make([]int32, 0, len(as))
 			for a := range as {
-				arcs = append(arcs, a)
+				id, ok := g.ArcIndex(a)
+				if !ok {
+					t.Fatalf("partial schedule colors %v, not an arc", a)
+				}
+				ids = append(ids, int32(id))
 			}
-			if viols := coloring.AuditArcs(g, as, arcs); len(viols) != 0 {
+			if viols := coloring.AuditArcs(g, coloring.SlotsOf(g, as), ids); len(viols) != 0 {
 				t.Errorf("partial schedule has violations mid-run: %v", viols[0])
 			}
 		}

@@ -12,7 +12,7 @@ import (
 // (AddEdge/RemoveEdge) normally *patches* it in place: the per-node rows of
 // the two endpoints are replaced copy-on-write (previously returned view
 // slices are never written through), the global arc list is marked stale and
-// rebuilt lazily, and the arc-id index is updated for just the two arcs that
+// rebuilt lazily, and the id table is updated for just the two arcs that
 // appeared or vanished. Only when no cache exists yet — or patching is
 // disabled via SetTopoPatching — does a mutation fall back to dropping the
 // cache wholesale.
@@ -30,15 +30,20 @@ type topoCache struct {
 	out      [][]Arc // per-node arcs leaving v, sorted by To
 	in       [][]Arc // per-node arcs entering v, sorted by From
 
-	// index assigns every live arc a stable id: ids survive patches (an
-	// arc keeps its id until removed) and removed ids are recycled LIFO
-	// through freeIDs, so ids stay dense in [0, idBound). After a fresh
-	// build ids coincide with positions in the sorted arc list; patches
-	// break that coincidence — consumers needing sorted order iterate
-	// ArcsView, consumers needing a dense table index size it ArcIDBound.
-	index   map[Arc]int32
-	freeIDs []int32
-	idBound int32
+	// Every live arc has a stable id: ids survive patches (an arc keeps its
+	// id until removed) and removed ids are recycled LIFO through freeIDs,
+	// so ids stay dense in [0, idBound). After a fresh build ids coincide
+	// with positions in the sorted arc list; patches break that coincidence
+	// — consumers needing sorted order iterate ArcsView, consumers needing a
+	// dense table index size it ArcIDBound. outIDs and incidentIDs hold the
+	// ids of the out and incident rows entry for entry (immutable rows like
+	// theirs); arcOf maps an id back to its arc and is written in place, so
+	// the entry of a freed id is stale until the id is reused.
+	outIDs      [][]int32
+	incidentIDs [][]int32
+	arcOf       []Arc
+	freeIDs     []int32
+	idBound     int32
 
 	// arcs caches the sorted global arc list. A patch clears it; the next
 	// ArcsView rebuilds it from the (already sorted) out rows in one
@@ -63,6 +68,13 @@ type topoCache struct {
 // did for them.
 type AuxPatchable interface {
 	AuxSurvivesMutation()
+}
+
+// AuxSharable marks an Aux value that a clone made by CloneShared can adopt.
+// ShareAux returns the clone's value, or nil when the clone should build its
+// own. It runs with the source's aux table locked, so it must not call Aux.
+type AuxSharable interface {
+	ShareAux(src, dst *Graph) any
 }
 
 // EdgeDelta is one journaled topology mutation: the edge, its direction of
@@ -96,13 +108,17 @@ func (g *Graph) topo() *topoCache {
 func (g *Graph) buildTopo() *topoCache {
 	n := len(g.adj)
 	c := &topoCache{
-		nbrs:     make([][]int, n),
-		incident: make([][]Arc, n),
-		out:      make([][]Arc, n),
-		in:       make([][]Arc, n),
-		index:    make(map[Arc]int32, 2*g.m),
+		nbrs:        make([][]int, n),
+		incident:    make([][]Arc, n),
+		out:         make([][]Arc, n),
+		in:          make([][]Arc, n),
+		outIDs:      make([][]int32, n),
+		incidentIDs: make([][]int32, n),
 	}
 	arcs := make([]Arc, 0, 2*g.m)
+	// inIDs[v] collects the ids of the arcs entering v in tail order: tails
+	// are visited ascending, so each row comes out sorted like in[v].
+	inIDs := make([][]int32, n)
 	for v := 0; v < n; v++ {
 		nb := make([]int, 0, len(g.adj[v]))
 		for u := range g.adj[v] {
@@ -110,42 +126,83 @@ func (g *Graph) buildTopo() *topoCache {
 		}
 		sort.Ints(nb)
 		c.nbrs[v] = nb
-
+		inIDs[v] = make([]int32, 0, len(nb))
+	}
+	for v := 0; v < n; v++ {
+		nb := c.nbrs[v]
 		out := make([]Arc, len(nb))
 		in := make([]Arc, len(nb))
+		ids := make([]int32, len(nb))
 		for i, u := range nb {
 			out[i] = Arc{From: v, To: u}
 			in[i] = Arc{From: u, To: v}
+			// out[v] is sorted by To and v increases, so ids handed out per
+			// node in order are the positions in the global (From, To) order.
+			ids[i] = int32(len(arcs) + i)
+			inIDs[u] = append(inIDs[u], ids[i])
 		}
 		c.out[v] = out
 		c.in[v] = in
-		// out[v] is sorted by To and v increases, so appending per node
-		// yields the global (From, To) order without a sort pass.
+		c.outIDs[v] = ids
 		arcs = append(arcs, out...)
 	}
 	for v := 0; v < n; v++ {
 		nb := c.nbrs[v]
 		inc := make([]Arc, 0, 2*len(nb))
+		incIDs := make([]int32, 0, 2*len(nb))
 		// (From, To) order: arcs {u,v} with u < v first, then the {v,*}
 		// block, then {u,v} with u > v — each group ascending already.
-		for _, u := range nb {
-			if u < v {
-				inc = append(inc, Arc{From: u, To: v})
-			}
+		lo, _ := slices.BinarySearch(nb, v)
+		for i, u := range nb[:lo] {
+			inc = append(inc, Arc{From: u, To: v})
+			incIDs = append(incIDs, inIDs[v][i])
 		}
 		inc = append(inc, c.out[v]...)
-		for _, u := range nb {
-			if u > v {
-				inc = append(inc, Arc{From: u, To: v})
-			}
+		incIDs = append(incIDs, c.outIDs[v]...)
+		for i, u := range nb[lo:] {
+			inc = append(inc, Arc{From: u, To: v})
+			incIDs = append(incIDs, inIDs[v][lo+i])
 		}
 		c.incident[v] = inc
+		c.incidentIDs[v] = incIDs
 	}
-	for i, a := range arcs {
-		c.index[a] = int32(i)
-	}
+	c.arcOf = slices.Clone(arcs)
 	c.idBound = int32(len(arcs))
 	c.arcs.Store(&arcs)
+	return c
+}
+
+// share returns the clone dst's copy of the cache of src: the outer row
+// tables are copied and the immutable rows shared, so ids agree between the
+// two graphs, while the id table and free list, which patches write in
+// place, are copied whole. Aux values implementing AuxSharable are adopted.
+func (t *topoCache) share(src, dst *Graph) *topoCache {
+	c := &topoCache{
+		nbrs:        slices.Clone(t.nbrs),
+		incident:    slices.Clone(t.incident),
+		out:         slices.Clone(t.out),
+		in:          slices.Clone(t.in),
+		outIDs:      slices.Clone(t.outIDs),
+		incidentIDs: slices.Clone(t.incidentIDs),
+		arcOf:       slices.Clone(t.arcOf),
+		freeIDs:     slices.Clone(t.freeIDs),
+		idBound:     t.idBound,
+	}
+	c.arcs.Store(t.arcs.Load())
+	t.auxMu.Lock()
+	defer t.auxMu.Unlock()
+	for k, v := range t.aux {
+		s, ok := v.(AuxSharable)
+		if !ok {
+			continue
+		}
+		if w := s.ShareAux(src, dst); w != nil {
+			if c.aux == nil {
+				c.aux = make(map[any]any)
+			}
+			c.aux[k] = w
+		}
+	}
 	return c
 }
 
@@ -236,59 +293,75 @@ func (g *Graph) EdgeDeltasSince(epoch uint64) ([]EdgeDelta, bool) {
 // SetTopoPatching toggles the in-place cache patch path (on by default).
 // With patching off every mutation drops the cache wholesale and rebuilds
 // on next read — the reference behavior the patch-vs-rebuild conformance
-// oracle compares against.
+// oracle compares against. Toggling itself keeps the current cache and its
+// arc ids (they describe the live topology either way); only the journal
+// restarts, so aux consumers cannot replay across the switch.
 func (g *Graph) SetTopoPatching(enabled bool) {
 	g.noPatch = !enabled
 	g.journalReset(g.epoch.Load())
-	g.invalidate()
 }
 
-// allocID hands out a stable arc id, recycling freed ids LIFO.
-func (c *topoCache) allocID() int32 {
+// TopoPatching reports whether mutations patch the topology cache (the
+// default). Without patching every mutation drops the cache, and the next
+// read renumbers all arc ids from scratch.
+func (g *Graph) TopoPatching() bool { return !g.noPatch }
+
+// allocID hands out a stable arc id for a, recycling freed ids LIFO.
+func (c *topoCache) allocID(a Arc) int32 {
 	if n := len(c.freeIDs); n > 0 {
 		id := c.freeIDs[n-1]
 		c.freeIDs = c.freeIDs[:n-1]
+		c.arcOf[id] = a
 		return id
 	}
-	id := c.idBound
+	c.arcOf = append(c.arcOf, a)
 	c.idBound++
-	return id
+	return c.idBound - 1
 }
 
-// insertSorted returns a fresh copy of row with x inserted at position
-// determined by less (row itself is never written — readers may share it).
-func insertSortedInt(row []int, x int) []int {
-	i := sort.SearchInts(row, x)
-	out := make([]int, len(row)+1)
+// insertAt returns a fresh exact-size copy of row with x inserted at i, and
+// removeAt one without row[i]: row itself is never written — readers may
+// share it.
+func insertAt[T any](row []T, i int, x T) []T {
+	out := make([]T, len(row)+1)
 	copy(out, row[:i])
 	out[i] = x
 	copy(out[i+1:], row[i:])
 	return out
 }
 
-func removeSortedInt(row []int, x int) []int {
-	i := sort.SearchInts(row, x)
-	out := make([]int, len(row)-1)
+func removeAt[T any](row []T, i int) []T {
+	out := make([]T, len(row)-1)
 	copy(out, row[:i])
 	copy(out[i:], row[i+1:])
 	return out
 }
 
-func insertSortedArc(row []Arc, a Arc) []Arc {
+func insertSortedInt(row []int, x int) []int { return insertAt(row, sort.SearchInts(row, x), x) }
+
+func removeSortedInt(row []int, x int) []int { return removeAt(row, sort.SearchInts(row, x)) }
+
+func searchArc(row []Arc, a Arc) int {
 	i, _ := slices.BinarySearchFunc(row, a, CompareArcs)
-	out := make([]Arc, len(row)+1)
-	copy(out, row[:i])
-	out[i] = a
-	copy(out[i+1:], row[i:])
-	return out
+	return i
 }
 
-func removeSortedArc(row []Arc, a Arc) []Arc {
-	i, _ := slices.BinarySearchFunc(row, a, CompareArcs)
-	out := make([]Arc, len(row)-1)
-	copy(out, row[:i])
-	copy(out[i:], row[i+1:])
-	return out
+func insertSortedArc(row []Arc, a Arc) []Arc { return insertAt(row, searchArc(row, a), a) }
+
+func removeSortedArc(row []Arc, a Arc) []Arc { return removeAt(row, searchArc(row, a)) }
+
+// insertArcID returns fresh copies of an arc row and its parallel id row
+// with a (id) inserted at its sorted position.
+func insertArcID(row []Arc, ids []int32, a Arc, id int32) ([]Arc, []int32) {
+	i := searchArc(row, a)
+	return insertAt(row, i, a), insertAt(ids, i, id)
+}
+
+// removeArcID returns fresh copies of an arc row and its parallel id row
+// without a, and a's id.
+func removeArcID(row []Arc, ids []int32, a Arc) ([]Arc, []int32, int32) {
+	i := searchArc(row, a)
+	return removeAt(row, i), removeAt(ids, i), ids[i]
 }
 
 // patchAdd splices the edge {u,v} into the cache: copy-on-write row updates
@@ -297,17 +370,17 @@ func removeSortedArc(row []Arc, a Arc) []Arc {
 // touched.
 func (c *topoCache) patchAdd(u, v int) EdgeDelta {
 	auv, avu := Arc{From: u, To: v}, Arc{From: v, To: u}
+	d := EdgeDelta{IDUV: c.allocID(auv), IDVU: c.allocID(avu)}
 	c.nbrs[u] = insertSortedInt(c.nbrs[u], v)
 	c.nbrs[v] = insertSortedInt(c.nbrs[v], u)
-	c.out[u] = insertSortedArc(c.out[u], auv)
+	c.out[u], c.outIDs[u] = insertArcID(c.out[u], c.outIDs[u], auv, d.IDUV)
+	c.out[v], c.outIDs[v] = insertArcID(c.out[v], c.outIDs[v], avu, d.IDVU)
 	c.in[u] = insertSortedArc(c.in[u], avu)
-	c.out[v] = insertSortedArc(c.out[v], avu)
 	c.in[v] = insertSortedArc(c.in[v], auv)
-	c.incident[u] = insertSortedArc(insertSortedArc(c.incident[u], auv), avu)
-	c.incident[v] = insertSortedArc(insertSortedArc(c.incident[v], auv), avu)
-	d := EdgeDelta{IDUV: c.allocID(), IDVU: c.allocID()}
-	c.index[auv] = d.IDUV
-	c.index[avu] = d.IDVU
+	for _, x := range [2]int{u, v} {
+		inc, ids := insertArcID(c.incident[x], c.incidentIDs[x], auv, d.IDUV)
+		c.incident[x], c.incidentIDs[x] = insertArcID(inc, ids, avu, d.IDVU)
+	}
 	c.arcs.Store(nil)
 	return d
 }
@@ -316,17 +389,17 @@ func (c *topoCache) patchAdd(u, v int) EdgeDelta {
 // ids for reuse.
 func (c *topoCache) patchRemove(u, v int) EdgeDelta {
 	auv, avu := Arc{From: u, To: v}, Arc{From: v, To: u}
+	var d EdgeDelta
 	c.nbrs[u] = removeSortedInt(c.nbrs[u], v)
 	c.nbrs[v] = removeSortedInt(c.nbrs[v], u)
-	c.out[u] = removeSortedArc(c.out[u], auv)
+	c.out[u], c.outIDs[u], d.IDUV = removeArcID(c.out[u], c.outIDs[u], auv)
+	c.out[v], c.outIDs[v], d.IDVU = removeArcID(c.out[v], c.outIDs[v], avu)
 	c.in[u] = removeSortedArc(c.in[u], avu)
-	c.out[v] = removeSortedArc(c.out[v], avu)
 	c.in[v] = removeSortedArc(c.in[v], auv)
-	c.incident[u] = removeSortedArc(removeSortedArc(c.incident[u], auv), avu)
-	c.incident[v] = removeSortedArc(removeSortedArc(c.incident[v], auv), avu)
-	d := EdgeDelta{IDUV: c.index[auv], IDVU: c.index[avu]}
-	delete(c.index, auv)
-	delete(c.index, avu)
+	for _, x := range [2]int{u, v} {
+		inc, ids, _ := removeArcID(c.incident[x], c.incidentIDs[x], auv)
+		c.incident[x], c.incidentIDs[x], _ = removeArcID(inc, ids, avu)
+	}
 	c.freeIDs = append(c.freeIDs, d.IDUV, d.IDVU)
 	c.arcs.Store(nil)
 	return d
@@ -408,16 +481,47 @@ func (g *Graph) InArcsView(v int) []Arc {
 // are dense in [0, ArcIDBound()): after a fresh cache build they coincide
 // with positions in ArcsView, and across patched mutations each surviving
 // arc keeps its id while removed ids are recycled to later additions. Use
-// ArcIDBound — not 2*M() — to size tables indexed by arc id.
+// ArcIDBound — not 2*M() — to size tables indexed by arc id. The lookup is a
+// binary search of a.From's neighbors; loops over rows read the id views
+// (OutArcIDsView, IncidentArcIDsView) instead.
 func (g *Graph) ArcIndex(a Arc) (int, bool) {
-	i, ok := g.topo().index[a]
-	return int(i), ok
+	if a.From < 0 || a.From >= len(g.adj) {
+		return 0, false
+	}
+	c := g.topo()
+	nb := c.nbrs[a.From]
+	i := sort.SearchInts(nb, a.To)
+	if i == len(nb) || nb[i] != a.To {
+		return 0, false
+	}
+	return int(c.outIDs[a.From][i]), true
 }
 
 // ArcIDBound returns the exclusive upper bound of the stable arc ids
 // currently assigned (at least 2*M(), more after net removals whose ids
 // have not been recycled yet).
 func (g *Graph) ArcIDBound() int { return int(g.topo().idBound) }
+
+// OutArcIDsView returns the stable ids of OutArcsView(v), entry for entry,
+// as a shared, read-only slice.
+func (g *Graph) OutArcIDsView(v int) []int32 {
+	g.check(v)
+	return g.topo().outIDs[v]
+}
+
+// IncidentArcIDsView returns the stable ids of IncidentArcsView(v), entry
+// for entry, as a shared, read-only slice.
+func (g *Graph) IncidentArcIDsView(v int) []int32 {
+	g.check(v)
+	return g.topo().incidentIDs[v]
+}
+
+// ArcsByIDView returns the id table: entry id is the live arc with that
+// stable id, for every id ArcIndex hands out. Entries of freed ids are
+// stale. The slice is shared and read-only, and unlike the row views it is
+// written in place by mutations: it is valid until the next AddEdge or
+// RemoveEdge.
+func (g *Graph) ArcsByIDView() []Arc { return g.topo().arcOf }
 
 // Aux returns the auxiliary value for key, invoking build at most once per
 // build of the topology cache to create it. Values not implementing

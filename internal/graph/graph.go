@@ -12,6 +12,7 @@ package graph
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"sync/atomic"
 )
@@ -193,6 +194,23 @@ func (g *Graph) Clone() *Graph {
 				c.AddEdge(u, v)
 			}
 		}
+	}
+	return c
+}
+
+// CloneShared returns a deep copy of g that starts from g's topology cache
+// instead of rebuilding it. The clone copies the cache's outer row tables
+// and shares its immutable rows, so arc ids agree between the two graphs,
+// and it adopts every aux value implementing AuxSharable. A mutation of
+// either graph patches its own tables copy-on-write and never shows through
+// to the other. Clone stays the plain copy with cold caches.
+func (g *Graph) CloneShared() *Graph {
+	c := &Graph{adj: make([]map[int]struct{}, len(g.adj)), m: g.m, jFirst: 1}
+	for u, nb := range g.adj {
+		c.adj[u] = maps.Clone(nb)
+	}
+	if t := g.cache.Load(); t != nil {
+		c.cache.Store(t.share(g, c))
 	}
 	return c
 }

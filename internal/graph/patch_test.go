@@ -77,6 +77,22 @@ func TestPatchedViewsMatchRebuild(t *testing.T) {
 				t.Fatalf("step %d: id %d assigned to both %v and %v", step, id, prev, a)
 			}
 			seen[id] = a
+			if got := g.ArcsByIDView()[id]; got != a {
+				t.Fatalf("step %d: id table names %v for %v's id %d", step, got, a, id)
+			}
+		}
+		// The id views match the arc views entry for entry.
+		for x := 0; x < n; x++ {
+			for i, a := range g.OutArcsView(x) {
+				if id, _ := g.ArcIndex(a); g.OutArcIDsView(x)[i] != int32(id) {
+					t.Fatalf("step %d: out id view of %d disagrees at %v", step, x, a)
+				}
+			}
+			for i, a := range g.IncidentArcsView(x) {
+				if id, _ := g.ArcIndex(a); g.IncidentArcIDsView(x)[i] != int32(id) {
+					t.Fatalf("step %d: incident id view of %d disagrees at %v", step, x, a)
+				}
+			}
 		}
 		if len(seen) != 2*g.M() {
 			t.Fatalf("step %d: %d ids for %d arcs", step, len(seen), 2*g.M())
@@ -272,5 +288,59 @@ func TestAuxDroppedOnPatchUnlessPatchable(t *testing.T) {
 	}
 	if survivorBuilds != 1 {
 		t.Fatalf("patchable aux rebuilt %d times, want 1 (survives patch)", survivorBuilds)
+	}
+}
+
+// TestCloneSharedKeepsIDs: a CloneShared clone starts from the source's
+// cache — same views, same arc ids, the source's free list included — and
+// afterwards each graph patches its own tables without showing through to
+// the other.
+func TestCloneSharedKeepsIDs(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	const n = 12
+	g := GNM(n, 24, rng)
+	_ = g.ArcsView()
+	e := g.Edges()[3]
+	g.RemoveEdge(e.U, e.V) // leave a free id behind
+	want := snapshotViews(g)
+	ids := make(map[Arc]int)
+	for _, a := range g.ArcsView() {
+		ids[a], _ = g.ArcIndex(a)
+	}
+
+	c := g.CloneShared()
+	if !c.Equal(g) || !reflect.DeepEqual(snapshotViews(c), want) {
+		t.Fatal("clone's views differ from the source's")
+	}
+	for a, id := range ids {
+		if got, ok := c.ArcIndex(a); !ok || got != id || c.ArcsByIDView()[id] != a {
+			t.Fatalf("clone gives %v id %d (ok=%v), source %d", a, got, ok, id)
+		}
+	}
+	if c.ArcIDBound() != g.ArcIDBound() {
+		t.Fatalf("clone bound %d, source %d", c.ArcIDBound(), g.ArcIDBound())
+	}
+
+	// Mutate both: neither sees the other's change.
+	c.AddEdge(e.U, e.V)
+	u, v := 0, 1
+	for g.HasEdge(u, v) || (NormEdge(u, v) == e) {
+		v++
+	}
+	g.AddEdge(u, v)
+	if !reflect.DeepEqual(snapshotViews(g), snapshotViews(g.Clone())) ||
+		!reflect.DeepEqual(snapshotViews(c), snapshotViews(c.Clone())) {
+		t.Fatal("a patch of one graph showed through to the other")
+	}
+	if c.HasEdge(u, v) || g.HasEdge(e.U, e.V) {
+		t.Fatal("edge sets leaked between source and clone")
+	}
+	for _, h := range []*Graph{g, c} {
+		for _, a := range h.ArcsView() {
+			id, _ := h.ArcIndex(a)
+			if h.ArcsByIDView()[id] != a {
+				t.Fatalf("id table of %v names %v", a, h.ArcsByIDView()[id])
+			}
+		}
 	}
 }

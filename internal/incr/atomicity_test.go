@@ -75,8 +75,8 @@ func TestRepairFailureRollsBack(t *testing.T) {
 
 		// Fail the repair after it has already recolored: run the real rule
 		// to completion, then report failure — the worst case for rollback.
-		up.stabilize = func(g *graph.Graph, as coloring.Assignment, dirty map[graph.Arc]bool) (int, float64, error) {
-			rounds, minU, err := coloring.Stabilize(g, as, dirty)
+		up.stabilize = func(g *graph.Graph, slots []int32, dirty []int32) (int, float64, error) {
+			rounds, minU, err := coloring.Stabilize(g, slots, dirty)
 			if err != nil {
 				return rounds, minU, err
 			}
@@ -121,7 +121,7 @@ func TestUpdatesCountsOnlySuccesses(t *testing.T) {
 	}
 	// Repair failure.
 	boom := errors.New("boom")
-	up.stabilize = func(*graph.Graph, coloring.Assignment, map[graph.Arc]bool) (int, float64, error) {
+	up.stabilize = func(*graph.Graph, []int32, []int32) (int, float64, error) {
 		return 0, 1, boom
 	}
 	u, v := pickAbsentEdge(up.Graph())
@@ -349,8 +349,8 @@ func TestNewHealingFailedFirstApplyRollsBack(t *testing.T) {
 	}
 
 	injected := errors.New("injected repair failure")
-	up.stabilize = func(g *graph.Graph, as coloring.Assignment, dirty map[graph.Arc]bool) (int, float64, error) {
-		if _, _, err := coloring.Stabilize(g, as, dirty); err != nil {
+	up.stabilize = func(g *graph.Graph, slots []int32, dirty []int32) (int, float64, error) {
+		if _, _, err := coloring.Stabilize(g, slots, dirty); err != nil {
 			return 0, 1, err
 		}
 		return 0, 1, injected

@@ -79,16 +79,22 @@ type Report struct {
 
 // Updater is a live schedule under incremental maintenance. Methods are not
 // safe for concurrent use; the session layer serializes access.
+//
+// The schedule lives in a dense slot store indexed by stable arc id
+// (graph.ArcIndex) and grown to graph.ArcIDBound, so the audit and the
+// repair read a conflicting arc's slot as slots[id]. The Assignment map
+// exists only at the boundary: New and NewHealing convert from it and
+// Assignment converts back.
 type Updater struct {
 	g       *graph.Graph
-	as      coloring.Assignment
+	slots   []int32 // slot by stable arc id; None for uncolored arcs
 	updates int64
 
 	// Frame accounting, maintained from the per-batch color diff so Slots
 	// and Report.FrameLength cost O(1) instead of a full O(m) scan of the
-	// assignment per batch: colorCount holds the number of arcs per color,
+	// schedule per batch: colorCount holds the number of arcs per color,
 	// frame the largest color in use.
-	colorCount map[int]int
+	colorCount []int
 	frame      int
 
 	// heal makes the next successful Apply dirty every arc (see NewHealing).
@@ -96,16 +102,41 @@ type Updater struct {
 
 	// stabilize is the repair rule; nil means coloring.Stabilize. Tests
 	// inject failures here to exercise the repair-failure rollback path.
-	stabilize func(*graph.Graph, coloring.Assignment, map[graph.Arc]bool) (int, float64, error)
+	stabilize func(g *graph.Graph, slots []int32, dirty []int32) (int, float64, error)
+
+	// Per-batch scratch, reused across batches.
+	muts    []mutation
+	drops   []drop  // every arc a removal took out, with its slot then
+	touched []touch // the batch's arcs at the final topology; ids are the dirty set
+	dirty   []int32
+	inTouch coloring.IDSet // the ids of touched
+}
+
+// drop is one arc a link removal took out of the topology, with the slot it
+// held at that moment. An arc's first drop in a batch holds its pre-batch
+// slot; a later drop (after a re-add) holds None.
+type drop struct {
+	a    graph.Arc
+	slot int32
+}
+
+// touch is one arc of the batch's final topology whose slot the batch may
+// change: its id, its pre-batch slot, and whether the batch added it (its
+// id is then new, so a rollback restores it through drops instead).
+type touch struct {
+	id    int32
+	old   int32
+	added bool
 }
 
 // New wraps a valid schedule for incremental maintenance. The graph is
-// cloned and the assignment copied, so the caller's instances stay free.
+// cloned and the assignment converted, so the caller's instances stay free.
+// Every slot must lie in [1, arcs+1]: a valid schedule never needs more.
 func New(g *graph.Graph, as coloring.Assignment) (*Updater, error) {
 	if viols := coloring.Verify(g, as); len(viols) != 0 {
 		return nil, fmt.Errorf("incr: initial schedule invalid: %v", viols[0])
 	}
-	return wrap(g, as), nil
+	return wrap(g, as, false)
 }
 
 // NewHealing wraps a schedule that may be incomplete or conflicting — an
@@ -113,31 +144,39 @@ func New(g *graph.Graph, as coloring.Assignment) (*Updater, error) {
 // The next successful Apply treats every arc of the post-delta topology as
 // dirty, so it returns a valid schedule and its report counts the whole
 // topology in DirtyArcs; a failed first Apply rolls back and leaves that
-// pending for the retry.
+// pending for the retry. Slots outside [1, arcs+1] count as uncolored.
 func NewHealing(g *graph.Graph, as coloring.Assignment) *Updater {
-	up := wrap(g, as)
-	up.heal = true
+	up, _ := wrap(g, as, true)
 	return up
 }
 
-func wrap(g *graph.Graph, as coloring.Assignment) *Updater {
-	up := &Updater{g: g.Clone(), as: as.Clone(), colorCount: make(map[int]int)}
-	for _, c := range up.as {
-		if c != coloring.None {
-			up.colorCount[c]++
-			if c > up.frame {
-				up.frame = c
+// wrap clones g with its warm caches (graph.CloneShared): the clone shares
+// the conflict rows the caller's schedule was built and verified on, so the
+// first Apply patches them instead of rebuilding every row. A slot outside
+// [1, arcs+1] is an error, or uncolored when heal is set.
+func wrap(g *graph.Graph, as coloring.Assignment, heal bool) (*Updater, error) {
+	up := &Updater{g: g.CloneShared(), heal: heal}
+	up.slots = coloring.SlotsOf(up.g, as)
+	limit := int32(2*up.g.M() + 1)
+	for v := 0; v < up.g.N(); v++ {
+		for i, id := range up.g.OutArcIDsView(v) {
+			if c := up.slots[id]; c > limit || c < 0 {
+				if !heal {
+					return nil, fmt.Errorf("incr: slot of %v outside [1,%d]", up.g.OutArcsView(v)[i], limit)
+				}
+				up.slots[id] = coloring.None
 			}
+			up.count(up.slots[id])
 		}
 	}
-	return up
+	return up, nil
 }
 
 // Graph returns the current topology (read-only by convention).
 func (up *Updater) Graph() *graph.Graph { return up.g }
 
-// Assignment returns the current schedule (read-only by convention).
-func (up *Updater) Assignment() coloring.Assignment { return up.as }
+// Assignment returns a copy of the current schedule.
+func (up *Updater) Assignment() coloring.Assignment { return coloring.AssignmentOf(up.g, up.slots) }
 
 // Slots returns the current frame length (maintained incrementally — O(1)).
 func (up *Updater) Slots() int { return up.frame }
@@ -146,8 +185,8 @@ func (up *Updater) Slots() int { return up.frame }
 func (up *Updater) Updates() int64 { return up.updates }
 
 // mutation is one journaled edge change. Colors are not journaled here:
-// rollback restores them from the batch's first-touch snapshot, which also
-// covers colors the repair phase rewrote.
+// rollback restores them from the batch's drops and touches, which also
+// cover colors the repair phase rewrote.
 type mutation struct {
 	added bool
 	u, v  int
@@ -162,86 +201,92 @@ type mutation struct {
 // the returned report carries the minimal recolor delta.
 func (up *Updater) Apply(events []dynamic.Event) (*Report, error) {
 	cacheBefore := coloring.CacheStats(up.g)
-	// Phase 1 — apply the delta, journaling every edge change and the
-	// pre-batch color of every touched arc (first touch wins, so colors
-	// snapshot the state before the batch regardless of event order).
-	var muts []mutation
-	oldColor := make(map[graph.Arc]int)
+	// Phase 1 — apply the delta, journaling every edge change and every
+	// arc a removal takes out with the slot it held.
+	up.muts, up.drops, up.touched = up.muts[:0], up.drops[:0], up.touched[:0]
 	for i, ev := range events {
-		if err := up.applyEvent(ev, &muts, oldColor); err != nil {
-			up.rollback(muts, oldColor)
+		if err := up.applyEvent(ev); err != nil {
+			up.rollback()
 			return nil, fmt.Errorf("incr: event %d %v: %w", i, ev, err)
 		}
 	}
 	rep := &Report{Events: len(events), MinUsable: 1}
 
-	// Phase 2 — dirty set. Touched arcs still present are the batch's new
-	// arcs (removal deleted their colors, so a removed-then-readded arc is
-	// new again); they enter uncolored. Colored arcs enter when
-	// endpointAudit finds them in a violated pair (link removals only
-	// remove conflicts and need no repair). A healing updater's first
-	// batch dirties every arc instead.
-	touched := sortedArcs(oldColor)
-	dirty := make(map[graph.Arc]bool)
+	// Phase 2 — dirty set, each arc first-touched with its pre-batch slot.
+	// Arcs the batch added and that are still present enter uncolored; an
+	// arc removed and re-added is new again, its pre-batch slot in its
+	// first drop. Colored arcs enter when endpointAudit finds them in a
+	// violated pair (link removals only remove conflicts and need no
+	// repair). A healing updater's first batch dirties every arc instead.
+	up.grow()
+	up.inTouch.Reset(len(up.slots))
+	slices.SortStableFunc(up.drops, func(x, y drop) int { return graph.CompareArcs(x.a, y.a) })
+	for _, m := range up.muts {
+		if !m.added || !up.g.HasEdge(m.u, m.v) {
+			continue
+		}
+		for _, a := range [2]graph.Arc{{From: m.u, To: m.v}, {From: m.v, To: m.u}} {
+			id, _ := up.g.ArcIndex(a)
+			up.touch(int32(id), up.preBatch(a), true)
+		}
+	}
+	added := len(up.touched)
 	if up.heal {
-		for _, a := range up.g.ArcsView() {
-			dirty[a] = true
-			firstTouch(oldColor, up.as, a)
-		}
-	}
-	var added []graph.Arc
-	for _, a := range touched {
-		if up.g.HasEdge(a.From, a.To) {
-			added = append(added, a)
-			dirty[a] = true
-		}
-	}
-	for _, w := range endpointAudit(up.g, up.as, added) {
-		for _, d := range [2]graph.Arc{w.A, w.B} {
-			if !dirty[d] {
-				dirty[d] = true
-				firstTouch(oldColor, up.as, d)
+		for v := 0; v < up.g.N(); v++ {
+			for _, id := range up.g.OutArcIDsView(v) {
+				up.touch(id, up.slots[id], false)
 			}
 		}
 	}
-	rep.DirtyArcs = len(dirty)
+	for _, w := range up.endpointAudit(up.touched[:added]) {
+		for _, d := range [2]graph.Arc{w.A, w.B} {
+			id, _ := up.g.ArcIndex(d)
+			up.touch(int32(id), up.slots[id], false)
+		}
+	}
+	up.dirty = up.dirty[:0]
+	for _, t := range up.touched {
+		up.dirty = append(up.dirty, t.id)
+	}
+	rep.DirtyArcs = len(up.dirty)
 
 	// Phase 3 — repair with the shared stabilize rule, then diff against
-	// the pre-batch snapshot. Only dirty arcs can act, so the delta below
-	// is complete; it is minimal because an arc that kept its slot (even a
+	// the pre-batch slots. Only dirty arcs can act, so the delta below is
+	// complete; it is minimal because an arc that kept its slot (even a
 	// dirty one repaired by its partner moving) produces no entry. A repair
 	// failure rolls everything back: every arc the stabilizer touched is in
-	// the dirty set, every dirty arc is first-touch snapshotted, so
-	// restoring the snapshot recovers the exact pre-batch schedule.
+	// the dirty set, and every dirty arc carries its pre-batch slot, so
+	// restoring them recovers the exact pre-batch schedule.
 	stab := up.stabilize
 	if stab == nil {
 		stab = coloring.Stabilize
 	}
-	rounds, minUsable, err := stab(up.g, up.as, dirty)
+	rounds, minUsable, err := stab(up.g, up.slots, up.dirty)
 	if err != nil {
-		up.rollback(muts, oldColor)
+		up.rollback()
 		return nil, fmt.Errorf("incr: repair failed: %w", err)
 	}
 	up.updates++
 	up.heal = false
 	rep.Rounds = rounds
 	rep.MinUsable = minUsable
-	for _, a := range sortedArcs(oldColor) {
-		old := oldColor[a]
-		cur := up.as[a]
-		if up.g.HasEdge(a.From, a.To) {
-			if cur != old {
-				rep.Recolored = append(rep.Recolored, ArcSlot{From: a.From, To: a.To, Slot: cur})
-			}
-		} else if old != coloring.None {
-			rep.Dropped = append(rep.Dropped, ArcSlot{From: a.From, To: a.To, Slot: old})
-		}
-		// Frame accounting: every color change in the batch runs through
-		// this diff, so adjusting per-color counts here keeps frame exact
-		// without rescanning the assignment.
-		if cur != old {
-			up.uncount(old)
+	// Frame accounting: every color change in the batch runs through this
+	// diff, so adjusting per-color counts here keeps frame exact without
+	// rescanning the schedule.
+	arcOf := up.g.ArcsByIDView()
+	slices.SortFunc(up.touched, func(x, y touch) int { return graph.CompareArcs(arcOf[x.id], arcOf[y.id]) })
+	for _, t := range up.touched {
+		if cur := up.slots[t.id]; cur != t.old {
+			a := arcOf[t.id]
+			rep.Recolored = append(rep.Recolored, ArcSlot{From: a.From, To: a.To, Slot: int(cur)})
+			up.uncount(t.old)
 			up.count(cur)
+		}
+	}
+	for _, d := range up.drops {
+		if d.slot != coloring.None && !up.g.HasEdge(d.a.From, d.a.To) {
+			rep.Dropped = append(rep.Dropped, ArcSlot{From: d.a.From, To: d.a.To, Slot: int(d.slot)})
+			up.uncount(d.slot)
 		}
 	}
 	rep.FrameLength = up.frame
@@ -260,6 +305,32 @@ func (up *Updater) Apply(events []dynamic.Event) (*Report, error) {
 	return rep, nil
 }
 
+// grow sizes the slot store for every assigned arc id.
+func (up *Updater) grow() {
+	if n := up.g.ArcIDBound(); n > len(up.slots) {
+		up.slots = append(up.slots, make([]int32, n-len(up.slots))...)
+	}
+}
+
+// touch adds arc id, with pre-batch slot old, to the batch's touched set the
+// first time the batch touches it; later touches keep the original.
+func (up *Updater) touch(id, old int32, added bool) {
+	if up.inTouch.Add(id) {
+		up.touched = append(up.touched, touch{id: id, old: old, added: added})
+	}
+}
+
+// preBatch returns the pre-batch slot of an arc the batch added: the slot
+// of its first drop if the batch removed it before, else None. drops must
+// be sorted stably by arc.
+func (up *Updater) preBatch(a graph.Arc) int32 {
+	i, ok := slices.BinarySearchFunc(up.drops, a, func(d drop, a graph.Arc) int { return graph.CompareArcs(d.a, a) })
+	if !ok {
+		return coloring.None
+	}
+	return up.drops[i].slot
+}
+
 // endpointAudit returns the violated pairs of colored arcs that the added
 // arcs' links can have created. A new link {u,v} makes a pair conflict only
 // through the hidden-terminal clause, with u or v as the head of one member
@@ -267,53 +338,55 @@ func (up *Updater) Apply(events []dynamic.Event) (*Report, error) {
 // or v: auditing the colored arcs incident to the added arcs' endpoints,
 // each once, finds every violation the batch introduced into a schedule
 // that was valid before it.
-func endpointAudit(g *graph.Graph, as coloring.Assignment, added []graph.Arc) []coloring.Violation {
+func (up *Updater) endpointAudit(added []touch) []coloring.Violation {
 	// added holds both arcs of every added link, so their tails are all
 	// the links' endpoints.
+	arcOf := up.g.ArcsByIDView()
 	ends := make([]int, 0, len(added))
-	for _, a := range added {
-		ends = append(ends, a.From)
+	for _, t := range added {
+		ends = append(ends, arcOf[t.id].From)
 	}
 	slices.Sort(ends)
 	ends = slices.Compact(ends)
-	var audit []graph.Arc
+	var audit []int32
 	for _, x := range ends {
-		for _, b := range g.IncidentArcsView(x) {
+		ids := up.g.IncidentArcIDsView(x)
+		for i, b := range up.g.IncidentArcsView(x) {
 			// An arc between two endpoints is queued from the smaller one.
 			if w := b.From + b.To - x; w < x {
 				if _, ok := slices.BinarySearch(ends, w); ok {
 					continue
 				}
 			}
-			if as[b] != coloring.None {
-				audit = append(audit, b)
+			if up.slots[ids[i]] != coloring.None {
+				audit = append(audit, ids[i])
 			}
 		}
 	}
-	return coloring.AuditArcs(g, as, audit)
+	return coloring.AuditArcs(up.g, up.slots, audit)
 }
 
 // count/uncount maintain the per-color arc counts and the running frame
 // length. Lowering the frame walks down past emptied colors; the walk is
 // paid for by the increments that raised it.
-func (up *Updater) count(c int) {
-	if c == coloring.None {
+func (up *Updater) count(c int32) {
+	if c <= coloring.None {
 		return
 	}
+	if int(c) >= len(up.colorCount) {
+		up.colorCount = append(up.colorCount, make([]int, int(c)+1-len(up.colorCount))...)
+	}
 	up.colorCount[c]++
-	if c > up.frame {
-		up.frame = c
+	if int(c) > up.frame {
+		up.frame = int(c)
 	}
 }
 
-func (up *Updater) uncount(c int) {
-	if c == coloring.None {
+func (up *Updater) uncount(c int32) {
+	if c <= coloring.None {
 		return
 	}
 	up.colorCount[c]--
-	if up.colorCount[c] == 0 {
-		delete(up.colorCount, c)
-	}
 	for up.frame > 0 && up.colorCount[up.frame] == 0 {
 		up.frame--
 	}
@@ -322,18 +395,18 @@ func (up *Updater) uncount(c int) {
 // applyEvent applies one event to the live topology, journaling each edge
 // change into muts. Validation failures wrap ErrBadDelta and leave muts
 // holding exactly the changes made so far, for rollback.
-func (up *Updater) applyEvent(ev dynamic.Event, muts *[]mutation, oldColor map[graph.Arc]int) error {
+func (up *Updater) applyEvent(ev dynamic.Event) error {
 	switch ev.Kind {
 	case dynamic.LinkUp:
-		return up.addLink(ev.U, ev.V, muts, oldColor)
+		return up.addLink(ev.U, ev.V)
 	case dynamic.LinkDown:
-		return up.dropLink(ev.U, ev.V, muts, oldColor)
+		return up.dropLink(ev.U, ev.V)
 	case dynamic.NodeFail:
 		if err := up.checkNode(ev.U); err != nil {
 			return err
 		}
 		for _, w := range up.g.Neighbors(ev.U) {
-			if err := up.dropLink(ev.U, w, muts, oldColor); err != nil {
+			if err := up.dropLink(ev.U, w); err != nil {
 				return err
 			}
 		}
@@ -343,7 +416,7 @@ func (up *Updater) applyEvent(ev dynamic.Event, muts *[]mutation, oldColor map[g
 			return err
 		}
 		for _, w := range ev.Peers {
-			if err := up.addLink(ev.U, w, muts, oldColor); err != nil {
+			if err := up.addLink(ev.U, w); err != nil {
 				return err
 			}
 		}
@@ -361,14 +434,14 @@ func (up *Updater) applyEvent(ev dynamic.Event, muts *[]mutation, oldColor map[g
 		}
 		for _, w := range up.g.Neighbors(ev.U) {
 			if !want[w] {
-				if err := up.dropLink(ev.U, w, muts, oldColor); err != nil {
+				if err := up.dropLink(ev.U, w); err != nil {
 					return err
 				}
 			}
 		}
 		for _, w := range ev.Peers {
 			if !up.g.HasEdge(ev.U, w) {
-				if err := up.addLink(ev.U, w, muts, oldColor); err != nil {
+				if err := up.addLink(ev.U, w); err != nil {
 					return err
 				}
 			}
@@ -386,7 +459,8 @@ func (up *Updater) checkNode(v int) error {
 	return nil
 }
 
-func (up *Updater) addLink(u, v int, muts *[]mutation, oldColor map[graph.Arc]int) error {
+// checkLink validates the endpoints of a link event.
+func (up *Updater) checkLink(u, v int) error {
 	if err := up.checkNode(u); err != nil {
 		return err
 	}
@@ -395,80 +469,91 @@ func (up *Updater) addLink(u, v int, muts *[]mutation, oldColor map[graph.Arc]in
 	}
 	if u == v {
 		return fmt.Errorf("self link {%d,%d}: %w", u, v, ErrBadDelta)
+	}
+	return nil
+}
+
+// addLink adds {u,v}. Its arcs may get ids a removal in the same batch
+// freed, so their slots are cleared: a new arc enters uncolored.
+func (up *Updater) addLink(u, v int) error {
+	if err := up.checkLink(u, v); err != nil {
+		return err
 	}
 	if up.g.HasEdge(u, v) {
 		return fmt.Errorf("link-up on existing edge {%d,%d}: %w", u, v, ErrBadDelta)
 	}
-	au, av := graph.Arc{From: u, To: v}, graph.Arc{From: v, To: u}
-	firstTouch(oldColor, up.as, au)
-	firstTouch(oldColor, up.as, av)
-	up.g.AddEdge(u, v)
-	*muts = append(*muts, mutation{added: true, u: u, v: v})
+	up.edit(u, v, true)
+	up.muts = append(up.muts, mutation{added: true, u: u, v: v})
+	for _, a := range [2]graph.Arc{{From: u, To: v}, {From: v, To: u}} {
+		id, _ := up.g.ArcIndex(a)
+		up.slots[id] = coloring.None
+	}
 	return nil
 }
 
-func (up *Updater) dropLink(u, v int, muts *[]mutation, oldColor map[graph.Arc]int) error {
-	if err := up.checkNode(u); err != nil {
+// dropLink removes {u,v}, recording both arcs with the slots they held.
+func (up *Updater) dropLink(u, v int) error {
+	if err := up.checkLink(u, v); err != nil {
 		return err
-	}
-	if err := up.checkNode(v); err != nil {
-		return err
-	}
-	if u == v {
-		return fmt.Errorf("self link {%d,%d}: %w", u, v, ErrBadDelta)
 	}
 	if !up.g.HasEdge(u, v) {
 		return fmt.Errorf("link-down on missing edge {%d,%d}: %w", u, v, ErrBadDelta)
 	}
-	au, av := graph.Arc{From: u, To: v}, graph.Arc{From: v, To: u}
-	firstTouch(oldColor, up.as, au)
-	firstTouch(oldColor, up.as, av)
-	*muts = append(*muts, mutation{added: false, u: u, v: v})
-	delete(up.as, au)
-	delete(up.as, av)
-	up.g.RemoveEdge(u, v)
+	for _, a := range [2]graph.Arc{{From: u, To: v}, {From: v, To: u}} {
+		id, _ := up.g.ArcIndex(a)
+		up.drops = append(up.drops, drop{a: a, slot: up.slots[id]})
+		up.slots[id] = coloring.None
+	}
+	up.muts = append(up.muts, mutation{added: false, u: u, v: v})
+	up.edit(u, v, false)
 	return nil
 }
 
-// rollback restores the exact pre-batch state after a failed batch: the
-// journaled edge changes are undone in reverse, then every first-touched
-// arc gets its snapshotted color back. The snapshot covers everything that
-// can have changed — phase 1 first-touches every arc it recolors or drops,
-// phase 2 first-touches every arc it dirties, and the stabilizer only
-// recolors dirty arcs — so after restoration the schedule is byte-identical
-// to the pre-batch one, whether the batch failed validation or repair.
-func (up *Updater) rollback(muts []mutation, oldColor map[graph.Arc]int) {
-	for i := len(muts) - 1; i >= 0; i-- {
-		m := muts[i]
-		if m.added {
-			up.g.RemoveEdge(m.u, m.v)
-		} else {
-			up.g.AddEdge(m.u, m.v)
-		}
+// edit adds or removes the edge {u,v}. A graph without topology patching
+// (the patch-vs-rebuild reference) renumbers every arc id on a mutation, so
+// there the slot store is re-keyed through the arcs around the change.
+func (up *Updater) edit(u, v int, add bool) {
+	var as coloring.Assignment
+	if !up.g.TopoPatching() {
+		as = coloring.AssignmentOf(up.g, up.slots)
 	}
-	for _, a := range sortedArcs(oldColor) {
-		if c := oldColor[a]; c == coloring.None {
-			delete(up.as, a)
-		} else {
-			up.as[a] = c
-		}
+	if add {
+		up.g.AddEdge(u, v)
+	} else {
+		up.g.RemoveEdge(u, v)
 	}
+	if as != nil {
+		up.slots = coloring.SlotsOf(up.g, as)
+	}
+	up.grow()
 }
 
-// firstTouch snapshots a's pre-batch color the first time the batch touches
-// it; later touches keep the original.
-func firstTouch(oldColor map[graph.Arc]int, as coloring.Assignment, a graph.Arc) {
-	if _, ok := oldColor[a]; !ok {
-		oldColor[a] = as[a]
+// rollback restores the exact pre-batch state after a failed batch. Arcs
+// the batch did not flip keep their ids, so the touched ones get their
+// pre-batch slots back by id. The journaled edge changes are then undone
+// in reverse; a flipped arc can come back on a different id (ids are
+// recycled), so every dropped arc still present gets the slot of its first
+// drop by arc. That covers everything that can have changed — phase 1
+// records every arc it drops, phase 2 touches every arc it dirties, and the
+// stabilizer only recolors dirty arcs — so the schedule is exactly the
+// pre-batch one, whether the batch failed validation or repair.
+func (up *Updater) rollback() {
+	for _, t := range up.touched {
+		if !t.added {
+			up.slots[t.id] = t.old
+		}
 	}
-}
-
-// sortedArcs returns the keys of m ordered by (From, To).
-func sortedArcs(m map[graph.Arc]int) []graph.Arc {
-	out := make([]graph.Arc, 0, len(m))
-	for a := range m {
-		out = append(out, a)
+	for i := len(up.muts) - 1; i >= 0; i-- {
+		m := up.muts[i]
+		up.edit(m.u, m.v, !m.added)
 	}
-	slices.SortFunc(out, graph.CompareArcs)
-	return out
+	// drops is in batch order, or sorted stably by arc: either way an
+	// arc's first drop comes before its later ones, so walking backwards
+	// applies it last.
+	for i := len(up.drops) - 1; i >= 0; i-- {
+		d := up.drops[i]
+		if id, ok := up.g.ArcIndex(d.a); ok {
+			up.slots[id] = d.slot
+		}
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -372,31 +373,39 @@ func TestEndpointAuditMatchesFullAudit(t *testing.T) {
 		return v
 	}
 	violated := 0
-	up.stabilize = func(g *graph.Graph, as coloring.Assignment, dirty map[graph.Arc]bool) (int, float64, error) {
-		var added, colored []graph.Arc
-		for _, a := range g.ArcsView() {
-			if as[a] == coloring.None {
-				added = append(added, a)
-			} else {
-				colored = append(colored, a)
+	up.stabilize = func(g *graph.Graph, slots []int32, dirty []int32) (int, float64, error) {
+		var added []touch
+		var colored []int32
+		for v := 0; v < g.N(); v++ {
+			for _, id := range g.OutArcIDsView(v) {
+				if slots[id] == coloring.None {
+					added = append(added, touch{id: id})
+				} else {
+					colored = append(colored, id)
+				}
 			}
 		}
-		want := byPair(coloring.AuditArcs(g, as, colored))
-		if got := byPair(endpointAudit(g, as, added)); !slices.Equal(got, want) {
+		want := byPair(coloring.AuditArcs(g, slots, colored))
+		if got := byPair(up.endpointAudit(added)); !slices.Equal(got, want) {
 			return 0, 0, fmt.Errorf("endpoint audit found %v, full audit %v", got, want)
 		}
+		arcOf := g.ArcsByIDView()
 		wantDirty := make(map[graph.Arc]bool)
-		for _, a := range added {
-			wantDirty[a] = true
+		for _, t := range added {
+			wantDirty[arcOf[t.id]] = true
 		}
 		for _, w := range want {
 			wantDirty[w.A], wantDirty[w.B] = true, true
 		}
-		if !reflect.DeepEqual(dirty, wantDirty) {
-			return 0, 0, fmt.Errorf("dirty set has %d arcs, want %d", len(dirty), len(wantDirty))
+		gotDirty := make(map[graph.Arc]bool)
+		for _, id := range dirty {
+			gotDirty[arcOf[id]] = true
+		}
+		if len(gotDirty) != len(dirty) || !reflect.DeepEqual(gotDirty, wantDirty) {
+			return 0, 0, fmt.Errorf("dirty set has %d arcs (%d ids), want %d", len(gotDirty), len(dirty), len(wantDirty))
 		}
 		violated += len(want)
-		return coloring.Stabilize(g, as, dirty)
+		return coloring.Stabilize(g, slots, dirty)
 	}
 	for i := 0; i < 200; i++ {
 		batch := auditBatch(up.Graph(), rng)
@@ -409,5 +418,48 @@ func TestEndpointAuditMatchesFullAudit(t *testing.T) {
 	}
 	if violated == 0 {
 		t.Fatal("no batch violated a pair: the audit was never exercised")
+	}
+}
+
+// TestFirstApplyReusesWarmCache pins session creation: New clones a graph
+// whose conflict cache is warm (the schedule was built and verified on it),
+// and the clone adopts those rows, so the first Apply patches them like
+// any later one. It must allocate about as much as a steady-state Apply of
+// the same batch, not one row allocation per arc more, and report no
+// cache rebuild.
+func TestFirstApplyReusesWarmCache(t *testing.T) {
+	g := graph.ConnectedGNM(256, 768, rand.New(rand.NewSource(41)))
+	as := coloring.Greedy(g, nil) // warms the topology and conflict caches
+	up, err := New(g, as)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := g.Edges()[len(g.Edges())/2]
+	down := []dynamic.Event{{Kind: dynamic.LinkDown, U: e.U, V: e.V}}
+	upEv := []dynamic.Event{{Kind: dynamic.LinkUp, U: e.U, V: e.V}}
+	mallocs := func(batch []dynamic.Event) (uint64, *Report) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rep, err := up.Apply(batch)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return after.Mallocs - before.Mallocs, rep
+	}
+	first, rep := mallocs(down)
+	if rep.CacheRebuilds != 0 || rep.CachePatches != 1 {
+		t.Fatalf("first Apply: %d rebuilds, %d patches; want 0 and 1", rep.CacheRebuilds, rep.CachePatches)
+	}
+	var steady uint64
+	for i := 0; i < 3; i++ {
+		mallocs(upEv)
+		steady, _ = mallocs(down)
+	}
+	if arcs := uint64(2 * g.M()); first > 2*steady+arcs/8 {
+		t.Fatalf("first Apply allocated %d, a steady one %d: the warm rows (%d arcs) were not adopted", first, steady, arcs)
+	}
+	if viols := coloring.Verify(up.Graph(), up.Assignment()); len(viols) != 0 {
+		t.Fatalf("%d violations", len(viols))
 	}
 }

@@ -391,8 +391,9 @@ func (s *Soak) Step() (EpochReport, error) {
 	rep.DirtyArcs = ur.DirtyArcs
 	rep.ConvergenceRounds = ur.Rounds
 	rep.MinUsable = ur.MinUsable
-	rep.Usable = coloring.UsableFraction(g, s.up.Assignment())
-	rep.Residual = len(coloring.Verify(g, s.up.Assignment()))
+	as := s.up.Assignment()
+	rep.Usable = coloring.UsableFraction(g, coloring.SlotsOf(g, as))
+	rep.Residual = len(coloring.Verify(g, as))
 	if rep.Residual != 0 {
 		return rep, fmt.Errorf("soak: epoch %d left %d residual conflicts", e, rep.Residual)
 	}
