@@ -9,8 +9,8 @@ import (
 // a fully populated, deterministic-cost report that round-trips as JSON.
 func TestShortSuite(t *testing.T) {
 	specs := DefaultSpecs(true)
-	if len(specs) != 6 {
-		t.Fatalf("short grid has %d specs, want 6", len(specs))
+	if len(specs) != 8 {
+		t.Fatalf("short grid has %d specs, want 8", len(specs))
 	}
 	rep, err := Run("smoke", specs)
 	if err != nil {
@@ -72,17 +72,19 @@ func TestUnknownEngineRejected(t *testing.T) {
 
 // TestFullGrid pins the committed baseline's shape: both engines at the
 // common sizes, the parallel sync engine's large-scale rows, and the
-// incremental session's scale sweep.
+// incremental session's scale sweep and both engines under faults.
 func TestFullGrid(t *testing.T) {
 	specs := DefaultSpecs(false)
-	if len(specs) != 13 {
-		t.Fatalf("full grid has %d specs, want 13", len(specs))
+	if len(specs) != 17 {
+		t.Fatalf("full grid has %d specs, want 17", len(specs))
 	}
 	want := map[string]bool{
 		"sync-n64": true, "sync-n256": true, "sync-n1024": true, "sync-n4096": true,
 		"sync-n16384": true, "sync-n65536": true,
 		"async-n64": true, "async-n256": true, "async-n1024": true, "async-n4096": true,
 		"incr-n256": true, "incr-n1024": true, "incr-n4096": true,
+		"sync-fault-n64": true, "sync-fault-n256": true,
+		"async-fault-n64": true, "async-fault-n256": true,
 	}
 	for _, s := range specs {
 		if !want[s.Name] {
