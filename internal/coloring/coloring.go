@@ -825,16 +825,15 @@ func (c *conflictCache) lowestFree(bufp *[]bool) int {
 }
 
 // smallestFeasible returns the smallest color >= 1 not used by any arc
-// conflicting with a under the (possibly partial) knowledge know.
-func smallestFeasible(g *graph.Graph, know SlotTable, a graph.Arc) int {
-	cc := cacheOf(g)
+// conflicting with a under the (possibly partial) knowledge know. cc is g's
+// synced conflict cache and arcOf its arc-by-id table.
+func smallestFeasible(g *graph.Graph, cc *conflictCache, arcOf []graph.Arc, know SlotTable, a graph.Arc) int {
 	var row []int32
 	if id, ok := g.ArcIndex(a); ok {
 		row = cc.conflicts[id]
 	} else {
 		row = conflictIDs(g, a)
 	}
-	arcOf := g.ArcsByIDView()
 	bufp := cc.occupancy(len(row))
 	used := *bufp
 	for _, b := range row {
@@ -864,13 +863,21 @@ func (c *conflictCache) smallestFree(slots []int32, id int32) int32 {
 // in know, writing the result into know. It returns the newly colored arcs.
 // This is the per-node coloring step shared by DistMIS and the DFS
 // algorithm: know is the node's distance-2 color knowledge.
+//
+// Coloring never mutates g, so the conflict cache is resolved once, at the
+// first arc to color, and serves the whole call.
 func AssignGreedyLocal(g *graph.Graph, know SlotTable, arcs []graph.Arc) []graph.Arc {
 	var colored []graph.Arc
+	var cc *conflictCache
+	var arcOf []graph.Arc
 	for _, a := range arcs {
 		if know.Color(a) != None {
 			continue
 		}
-		know.Set(a, smallestFeasible(g, know, a))
+		if cc == nil {
+			cc, arcOf = cacheOf(g), g.ArcsByIDView()
+		}
+		know.Set(a, smallestFeasible(g, cc, arcOf, know, a))
 		colored = append(colored, a)
 	}
 	return colored

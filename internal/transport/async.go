@@ -36,7 +36,7 @@ func (e *AsyncEnv) FinishAll() { e.sim.FinishAll() }
 
 // Down reports whether the transport has given up on peer; always false in
 // direct mode.
-func (e *AsyncEnv) Down(peer int) bool { return e.ep != nil && e.ep.down[peer] }
+func (e *AsyncEnv) Down(peer int) bool { return e.ep != nil && e.ep.isDown(peer) }
 
 // Send transmits payload to a neighbor. In reliable mode the payload rides
 // in a sequenced segment that is retransmitted until acknowledged or given
@@ -47,7 +47,7 @@ func (e *AsyncEnv) Send(to int, payload any) {
 		e.sim.Send(to, payload)
 	} else if f, ok := e.ep.open(e.sim.Clock(), to, payload, -1); ok {
 		e.sim.Send(to, f)
-		e.sim.SetTimer(e.ep.rtoFor(to), retrans{Seq: f.Seq})
+		e.sim.SetTimer(e.ep.rtoFor(to), retrans{Peer: to, Seq: f.Seq})
 	}
 }
 
@@ -87,10 +87,13 @@ func (e *AsyncEnv) Recv() (sim.Message, bool) {
 			}
 		case retrans:
 			// A timer for a segment acked or abandoned since is stale.
-			if s := ep.pending[p.Seq]; s != nil {
-				if f, ok := ep.retransmit(now, p.Seq, s); ok {
-					e.sim.Send(s.to, f)
-					e.sim.SetTimer(s.due-now, retrans{Seq: p.Seq})
+			if i, ok := ep.index(p.Peer); ok {
+				r := ref{peer: int32(i), seq: p.Seq}
+				if s := ep.lookup(r); s != nil {
+					if f, ok := ep.retransmit(now, r, s); ok {
+						e.sim.Send(p.Peer, f)
+						e.sim.SetTimer(s.due-now, p)
+					}
 				}
 			}
 		default:
@@ -101,13 +104,16 @@ func (e *AsyncEnv) Recv() (sim.Message, bool) {
 			// every segment in flight across our own outage needs a fresh
 			// timer or it would hang forever.
 			if _, restarted := m.Payload.(sim.NodeRestarted); restarted {
-				for _, q := range ep.restart(now) {
-					e.sim.SetTimer(ep.pending[q].due-now, retrans{Seq: q})
-				}
+				ep.restart(now, e.rearm)
 			}
 			return m, true
 		}
 	}
+}
+
+// rearm arms a fresh retransmission timer for segment seq to peer "to".
+func (e *AsyncEnv) rearm(to int, seq, after int64) {
+	e.sim.SetTimer(after, retrans{Peer: to, Seq: seq})
 }
 
 // notify queues a PeerDown/PeerUp notice ahead of the next Recv and emits
@@ -145,7 +151,7 @@ func (a *Async) MarkDown(peers ...int) {
 		return
 	}
 	for _, p := range peers {
-		a.ep.down[p] = true
+		a.ep.markDown(p)
 	}
 }
 

@@ -38,7 +38,7 @@ func (e *SyncEnv) Broadcast(payload any) {
 
 // Down reports whether the transport has given up on peer; always false in
 // direct mode.
-func (e *SyncEnv) Down(peer int) bool { return e.w.ep != nil && e.w.ep.down[peer] }
+func (e *SyncEnv) Down(peer int) bool { return e.w.ep != nil && e.w.ep.isDown(peer) }
 
 // Sync adapts a SyncProto to sim.SyncNode with physical rounds as the
 // endpoint's clock: each round it feeds arrivals to the endpoint, scans for
@@ -119,13 +119,13 @@ func (w *Sync) MarkDown(peers ...int) {
 		return
 	}
 	for _, p := range peers {
-		w.ep.down[p] = true
+		w.ep.markDown(p)
 	}
 }
 
 // GateReady implements sim.RoundGate: the node has no unacknowledged
 // outbound segments, so the global logical round may advance.
-func (w *Sync) GateReady() bool { return w.ep == nil || len(w.ep.pending) == 0 }
+func (w *Sync) GateReady() bool { return w.ep == nil || w.ep.inFlight == 0 }
 
 // Step implements sim.SyncNode, executing one physical round: ack and
 // buffer arriving segments, retransmit due ones, and — when the engine's
@@ -164,24 +164,20 @@ func (w *Sync) Step(env *sim.SyncEnv, inbox []sim.Message) bool {
 			// endpoints. A restart notice additionally refreshes the retry
 			// budget of everything still in flight.
 			if _, restarted := m.Payload.(sim.NodeRestarted); restarted {
-				ep.restart(now)
+				ep.restart(now, nil)
 			}
 			w.buffer = append(w.buffer, m)
 		}
 	}
 
-	// Retransmit due segments in sequence order (deterministic), giving up
-	// on peers that exhausted their retry budget.
-	for _, q := range ep.inFlight() {
-		if s := ep.pending[q]; s != nil && now >= s.due {
-			if f, ok := ep.retransmit(now, q, s); ok {
-				env.Send(s.to, f)
-			}
-		}
-	}
+	// Retransmit due segments in first-send order (deterministic), giving
+	// up on peers that exhausted their retry budget.
+	ep.retransmitDue(now, func(to int, f seg) { env.Send(to, f) })
 
 	// The synchronizer opened the next logical round: flush the buffered
-	// inbox to the protocol and wrap its sends as fresh segments.
+	// inbox to the protocol and wrap its sends as fresh segments. The
+	// protocol keeps no inbox past its Step (the engine reuses its inboxes
+	// too), so the flushed buffer then collects the next logical round's.
 	if env.Advance {
 		w.logical++
 		flush := w.buffer
@@ -192,8 +188,12 @@ func (w *Sync) Step(env *sim.SyncEnv, inbox []sim.Message) bool {
 		}
 		w.env.Round = w.logical
 		w.protoDone = w.proto.Step(&w.env, flush)
+		if w.buffer == nil {
+			clear(flush)
+			w.buffer = flush[:0]
+		}
 	}
-	return w.protoDone && len(ep.pending) == 0 && len(w.buffer) == 0
+	return w.protoDone && ep.inFlight == 0 && len(w.buffer) == 0
 }
 
 // send is SyncEnv.Send: straight onto the engine in direct mode, otherwise

@@ -135,12 +135,14 @@ type PeerUp struct {
 	Peer int
 }
 
-// seg is the transport frame wrapping one protocol payload. Round is the
-// sender's logical round (synchronous transport only; -1 in async runs) so
-// the receiver can assert logical-round integrity. Heard is the gossip
+// seg is the transport frame wrapping one protocol payload. Seq is per
+// link: each (sender, receiver) pair numbers its segments from 0. Round is
+// the sender's logical round (synchronous transport only; -1 in async runs)
+// so the receiver can assert logical-round integrity. Heard is the gossip
 // liveness hint: the sorted set of peers the sender heard from within its
-// VouchWindow (nil when empty) — never aliased to sender state, built fresh
-// per frame.
+// VouchWindow (nil when empty). It may name the receiver itself, and frames
+// the sender transmits in one tick share it; it is never written after it
+// is sent.
 type seg struct {
 	Seq     int64
 	Round   int64
@@ -148,16 +150,19 @@ type seg struct {
 	Heard   []int
 }
 
-// ack acknowledges receipt of a segment. Acks are fire-and-forget: a lost
-// ack just provokes a retransmission, which is re-acked.
+// ack acknowledges receipt of a segment; Seq is per link, as in seg. Acks
+// are fire-and-forget: a lost ack just provokes a retransmission, which is
+// re-acked.
 type ack struct {
 	Seq int64
 }
 
 // retrans is the self-timer payload scheduled per in-flight segment (async
-// transport only).
+// transport only). Seq is per link, so the timer names the segment by its
+// destination Peer and Seq.
 type retrans struct {
-	Seq int64
+	Peer int
+	Seq  int64
 }
 
 // Counters is the per-node accounting of one endpoint's run.

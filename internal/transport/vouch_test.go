@@ -2,7 +2,6 @@ package transport
 
 import (
 	"fmt"
-	"maps"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -14,11 +13,12 @@ import (
 
 // The tests in this file check the per-peer segment index against the
 // full scans it replaced. Node 0 of a small seeded lossy run is watched:
-// after each physical round (sync) or delivery (async) the index must cover
-// every in-flight segment a full scan would visit, and at seeded points a
-// vouch or a give-up is applied both ways — to the live endpoint and, by the
-// references below, to a copy taken just before — and the two must agree on
-// every counter and on every segment's retries and due round.
+// after each physical round (sync) or delivery (async) the send order and
+// the retrying lists must cover every in-flight segment a full scan would
+// visit, and at seeded points a vouch or a give-up is applied both ways — to
+// the live endpoint and, by the references below, to a copy taken just
+// before — and the two must agree on every counter and on every segment's
+// retries and due round.
 
 // segView is the vouch-relevant state of one in-flight segment.
 type segView struct {
@@ -27,17 +27,35 @@ type segView struct {
 	retried     bool
 }
 
+// segKey names an in-flight segment by destination and per-link seq.
+type segKey struct {
+	to  int
+	seq int64
+}
+
 // endpointView is a deep copy of an endpoint's vouch-relevant state.
 type endpointView struct {
-	segs map[int64]segView
+	segs map[segKey]segView
 	down map[int]bool
 	c    Counters
 }
 
 func view(ep *endpoint) endpointView {
-	v := endpointView{segs: map[int64]segView{}, down: maps.Clone(ep.down), c: ep.c}
-	for q, s := range ep.pending {
-		v.segs[q] = segView{to: s.to, retries: s.retries, due: s.due, retried: s.retried}
+	v := endpointView{segs: map[segKey]segView{}, down: map[int]bool{}, c: ep.c}
+	for _, q := range ep.cold {
+		v.down[q] = true
+	}
+	for i := range ep.peers {
+		p := &ep.peers[i]
+		to := ep.neighbors[i]
+		if p.down {
+			v.down[to] = true
+		}
+		for k := p.off; k < len(p.fifo); k++ {
+			if s := p.fifo[k]; s.live {
+				v.segs[segKey{to, p.head + int64(k-p.off)}] = segView{to: to, retries: int(s.retries), due: s.due, retried: s.retried}
+			}
+		}
 	}
 	return v
 }
@@ -78,22 +96,31 @@ func (v *endpointView) refGiveUp(peer int) {
 	}
 }
 
-// checkIndex reports whether the index lists everything a full scan would
-// visit: every in-flight segment under its peer in outbound, and every one
-// that holds a retry count also in retrying. A full-scan give-up leaves no
-// segment in flight to a peer that is down, so none may be.
-func (v endpointView) checkIndex(retrying, outbound map[int][]int64) error {
-	for q, s := range v.segs {
-		if !slices.Contains(outbound[s.to], q) {
-			return fmt.Errorf("segment %d to %d missing from outbound index %v", q, s.to, outbound[s.to])
+// checkIndex reports whether the endpoint's indexes list everything a full
+// scan would visit: every in-flight segment in the send order the due scan
+// and restart walk, and every one that holds a retry count also in its
+// peer's retrying list. A full-scan give-up leaves no segment in flight to a
+// peer that is down, so none may be.
+func (v endpointView) checkIndex(ep *endpoint) error {
+	order := map[segKey]bool{}
+	for _, r := range ep.order {
+		order[segKey{ep.neighbors[r.peer], r.seq}] = true
+	}
+	for k, s := range v.segs {
+		if !order[k] {
+			return fmt.Errorf("segment %d to %d missing from the send order", k.seq, k.to)
 		}
-		if s.retries > 0 && !slices.Contains(retrying[s.to], q) {
+		retrying := ep.peers[slices.Index(ep.neighbors, k.to)].retrying
+		if s.retries > 0 && !slices.Contains(retrying, k.seq) {
 			return fmt.Errorf("segment %d to %d has %d retries but is missing from retrying index %v",
-				q, s.to, s.retries, retrying[s.to])
+				k.seq, k.to, s.retries, retrying)
 		}
-		if v.down[s.to] {
-			return fmt.Errorf("segment %d in flight to %d, which is down", q, s.to)
+		if v.down[k.to] {
+			return fmt.Errorf("segment %d in flight to %d, which is down", k.seq, k.to)
 		}
+	}
+	if len(v.segs) != ep.inFlight {
+		return fmt.Errorf("%d segments in flight, counted %d", len(v.segs), ep.inFlight)
 	}
 	return nil
 }
@@ -110,6 +137,16 @@ func diff(what string, ep *endpoint, ref func(*endpointView), op func()) error {
 	return nil
 }
 
+// vouch applies liveness evidence for peer id, as a Heard-list entry
+// does.
+func (ep *endpoint) vouch(now int64, id int) {
+	if i, ok := ep.index(id); ok {
+		ep.vouchAt(now, i)
+	} else {
+		ep.vouchCold(now, id)
+	}
+}
+
 func diffVouch(ep *endpoint, now int64, peer int) error {
 	due := now + ep.rtoFor(peer)
 	return diff(fmt.Sprintf("time %d vouch(%d)", now, peer), ep,
@@ -118,9 +155,10 @@ func diffVouch(ep *endpoint, now int64, peer int) error {
 }
 
 func diffGiveUp(ep *endpoint, now int64, peer int) error {
+	i, _ := ep.index(peer)
 	return diff(fmt.Sprintf("time %d giveUp(%d)", now, peer), ep,
 		func(v *endpointView) { v.refGiveUp(peer) },
-		func() { ep.giveUp(now, peer) })
+		func() { ep.giveUp(now, i) })
 }
 
 // vouchAll checks a differential vouch for every peer, as node 0 does once
@@ -136,16 +174,23 @@ func vouchAll(ep *endpoint, now int64, peers []int) error {
 
 // checkpoint runs node 0's seeded checks at time now: the index invariant,
 // then with some probability a differential vouch, and more rarely a
-// differential give-up, for a peer drawn from peers. forced reports whether
-// it gave up on a peer that was up.
+// differential give-up, for a peer drawn from peers. Nothing is sent to a
+// peer that is not a neighbor, so none is given up on; such a draw marks
+// the peer down as MarkDown does, for later vouches to rescind. forced
+// reports whether it gave up on a neighbor that was up.
 func checkpoint(rng *rand.Rand, peers []int, ep *endpoint, now int64) (forced bool, err error) {
-	if err := view(ep).checkIndex(ep.retrying, ep.outbound); err != nil {
+	if err := view(ep).checkIndex(ep); err != nil {
 		return false, err
 	}
 	switch r := rng.Intn(100); {
 	case r == 0:
 		p := peers[rng.Intn(len(peers))]
-		forced = !ep.down[p]
+		if _, ok := ep.index(p); !ok {
+			return false, diff(fmt.Sprintf("time %d markDown(%d)", now, p), ep,
+				func(v *endpointView) { v.down[p] = true },
+				func() { ep.markDown(p) })
+		}
+		forced = !ep.isDown(p)
 		return forced, diffGiveUp(ep, now, p)
 	case r < 30:
 		return false, diffVouch(ep, now, peers[rng.Intn(len(peers))])
@@ -344,7 +389,7 @@ func TestVouchIndexMatchesFullScanAsync(t *testing.T) {
 			// Every segment ends acked or given up on; one still in flight
 			// lost its retransmission timer, as to a crash window without
 			// the restart re-arm.
-			if n := len(wraps[0].ep.pending); n > 0 {
+			if n := wraps[0].ep.inFlight; n > 0 {
 				t.Errorf("node 0 ended with %d segments in flight", n)
 			}
 			c := natural(node0, forced)
