@@ -235,11 +235,11 @@ func measure(spec Spec) (Measurement, error) {
 // of the instance's first edge. The warm-up batch pays the initial
 // conflict-cache build and provides the deterministic cost columns — Slots
 // is the frame after repair, Rounds the repair rounds, and Messages the
-// conflict rows rewritten by the cache patch, which is the locality
+// conflict rows dropped by the cache patch, which is the locality
 // contract: it is bounded by the flipped edge's 2-hop neighborhood and must
 // not scale with the instance's total arc count. Compare gates on it like
 // any other cost column, so a patch path that regresses to whole-graph
-// rewrites drifts the baseline and fails CI.
+// drops drifts the baseline and fails CI.
 func measureIncr(spec Spec) (Measurement, error) {
 	g := graph.ConnectedGNM(spec.Nodes, spec.Edges, rand.New(rand.NewSource(spec.Seed)))
 	up, err := incr.New(g, coloring.Greedy(g, nil))

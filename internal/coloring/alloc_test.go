@@ -11,24 +11,25 @@ import (
 // once the per-graph cache is built, the id rows the maintenance path reads
 // are answered without any allocation — each row is a separate immutable
 // allocation of the cache, sliced out, not recomputed — and ConflictingArcs
-// allocates only the arc slice it converts a row into.
+// allocates only the arc slice it converts a row into. The same holds on a
+// patched cache once each dropped row has been read, and so rebuilt, once.
 func TestConflictingArcsWarmCacheAllocFree(t *testing.T) {
 	g := graph.ConnectedGNM(48, 144, rand.New(rand.NewSource(7)))
-	arcs := g.ArcsView()
-	ConflictingArcs(g, arcs[0]) // build the cache
-	avg := testing.AllocsPerRun(20, func() {
+	ConflictingArcs(g, g.ArcsView()[0]) // build the cache
+	sweep := func() {
 		cc := cacheOf(g)
-		for _, a := range arcs {
+		for _, a := range g.ArcsView() {
 			id, _ := g.ArcIndex(a)
-			if len(cc.conflicts[id]) == 0 {
+			if len(cc.row(int32(id))) == 0 {
 				t.Fatal("empty conflict set on a connected graph")
 			}
 		}
-	})
-	if avg != 0 {
+	}
+	if avg := testing.AllocsPerRun(20, sweep); avg != 0 {
 		t.Errorf("warm-cache id rows allocate %.1f per sweep, want 0", avg)
 	}
-	avg = testing.AllocsPerRun(20, func() {
+	arcs := g.ArcsView()
+	avg := testing.AllocsPerRun(20, func() {
 		for _, a := range arcs {
 			if len(ConflictingArcs(g, a)) == 0 {
 				t.Fatal("empty conflict set on a connected graph")
@@ -37,6 +38,17 @@ func TestConflictingArcsWarmCacheAllocFree(t *testing.T) {
 	})
 	if want := float64(len(arcs)); avg != want {
 		t.Errorf("warm-cache ConflictingArcs allocates %.1f per sweep, want %.0f (its results)", avg, want)
+	}
+
+	e := g.Edges()[0]
+	g.RemoveEdge(e.U, e.V)
+	g.AddEdge(e.U, e.V)
+	sweep() // rebuild the dropped rows
+	if !cacheOf(g).dropped.Load() || CacheStats(g).Patches != 1 {
+		t.Fatal("the flip did not leave a patched cache")
+	}
+	if avg := testing.AllocsPerRun(20, sweep); avg != 0 {
+		t.Errorf("patched-cache id rows allocate %.1f per sweep once read, want 0", avg)
 	}
 }
 

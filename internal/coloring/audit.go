@@ -41,7 +41,7 @@ func AuditArcs(g *graph.Graph, slots []int32, ids []int32) []Violation {
 			viols = append(viols, Violation{A: arcOf[a], B: arcOf[a], Color: None})
 			continue
 		}
-		for _, b := range cc.conflicts[a] {
+		for _, b := range cc.row(a) {
 			if slots[b] != c || done.Has(b) {
 				continue
 			}
@@ -93,7 +93,7 @@ func (c *conflictCache) arcDirty(slots []int32, id int32) bool {
 	if col == None {
 		return true
 	}
-	for _, b := range c.conflicts[id] {
+	for _, b := range c.row(id) {
 		if slots[b] == col {
 			return true
 		}

@@ -49,24 +49,28 @@ func Conflict(g *graph.Graph, a, b graph.Arc) bool {
 // conflicting arc's slot as slots[id]: no hashing, no arc comparison. After
 // a topology mutation the cache is *patched*, not rebuilt — it survives on
 // the graph's aux table (AuxSurvivesMutation) and re-syncs lazily from the
-// graph's edge-delta journal, replacing only the rows of arcs within
-// distance 2 of the flipped edges' endpoints. Only when the journal has
-// been truncated (or the graph disabled patching) does it fall back to a
-// full rebuild.
+// graph's edge-delta journal, dropping only the rows of arcs within
+// distance 2 of the flipped edges' endpoints; a dropped row is rebuilt the
+// first time it is read (see row). Only when the journal has been truncated
+// (or the graph disabled patching) does it fall back to a full rebuild.
 //
-// Readers never lock: rows are immutable once published and the synced
-// epoch is advanced with a release store after all row writes, so the
-// epoch-equality fast path in cacheOf orders reads after the patch.
+// Rows are immutable once published, and the synced epoch is advanced with
+// a release store after all of a sync's writes, so the epoch-equality fast
+// path in cacheOf orders reads after the sync. A cache without dropped rows
+// is read without locking; one holding dropped rows serves reads under mu.
 type conflictCache struct {
-	conflicts [][]int32     // by stable arc id; nil for unassigned/freed ids
+	conflicts [][]int32     // by stable arc id; nil for unassigned/freed ids and dropped rows
+	g         *graph.Graph  // the graph the rows are bound to; dropped rows are rebuilt against it
+	dropped   atomic.Bool   // set by patch, cleared by rebuild: a live row may be nil
 	epoch     atomic.Uint64 // graph.MutEpoch the rows are synced to
-	mu        sync.Mutex    // serializes sync (patch or rebuild)
+	mu        sync.Mutex    // serializes sync (patch or rebuild) and dropped-row rebuilds
 
 	rows        rowBuilder    // row construction scratch; used under mu once published
-	patcher     patchScratch  // patch's stamps and flip list; used under mu
+	inS         IDSet         // patch's nodes of S; used under mu
+	nodes       []int         // patch's S = E ∪ N(E), E first; used under mu
 	builds      atomic.Uint64 // full row-set (re)builds
 	patches     atomic.Uint64 // incremental syncs applied
-	patchedArcs atomic.Uint64 // rows rewritten by incremental syncs
+	patchedArcs atomic.Uint64 // rows dropped by incremental syncs
 
 	// scratch pools the []bool color-occupancy buffers smallestFeasible
 	// uses; pooling keeps the greedy inner loop allocation-free without
@@ -82,15 +86,17 @@ func (*conflictCache) AuxSurvivesMutation() {}
 // ShareAux hands a graph.CloneShared clone a cache that shares this one's
 // immutable rows — the clone's arc ids are this graph's — provided the rows
 // are synced to src's current topology. Only the outer table is copied, so
-// the clone's first update patches instead of rebuilding every row.
+// the clone's first update patches instead of rebuilding every row. Dropped
+// rows stay dropped in the clone, which rebuilds them against dst.
 func (c *conflictCache) ShareAux(src, dst *graph.Graph) any {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.epoch.Load() != src.MutEpoch() {
 		return nil
 	}
-	s := newCacheShell()
+	s := newCacheShell(dst)
 	s.conflicts = slices.Clone(c.conflicts)
+	s.dropped.Store(c.dropped.Load())
 	s.epoch.Store(dst.MutEpoch())
 	return s
 }
@@ -105,22 +111,47 @@ func cacheOf(g *graph.Graph) *conflictCache {
 	return c
 }
 
-func newCacheShell() *conflictCache {
-	c := &conflictCache{}
+func newCacheShell(g *graph.Graph) *conflictCache {
+	c := &conflictCache{g: g}
 	c.scratch.New = func() any { return new([]bool) }
 	return c
 }
 
 func newConflictCache(g *graph.Graph) *conflictCache {
-	c := newCacheShell()
+	c := newCacheShell(g)
 	c.rebuild(g)
 	c.epoch.Store(g.MutEpoch())
 	return c
 }
 
+// row returns the conflict row of the live arc id. While the cache holds no
+// dropped rows it is a plain index.
+func (c *conflictCache) row(id int32) []int32 {
+	if !c.dropped.Load() {
+		return c.conflicts[id]
+	}
+	return c.rowLocked(id)
+}
+
+// rowLocked is row's path for a cache holding dropped rows: under mu, a
+// dropped row is rebuilt against the synced graph and stored. A live arc
+// conflicts at least with its own reverse, so its row is never empty and
+// nil always means dropped.
+func (c *conflictCache) rowLocked(id int32) []int32 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	r := c.conflicts[id]
+	if r == nil {
+		c.rows.fit(c.g.N())
+		r = c.rows.row(c.g, c.g.ArcsByIDView()[id], id)
+		c.conflicts[id] = r
+	}
+	return r
+}
+
 // rebuild recomputes every row from the live topology. Each row is its own
-// exact-size allocation, so a row a later patch replaces is freed on its
-// own rather than pinning a slab shared with every other row.
+// exact-size allocation, so a row a later patch drops is freed on its own
+// rather than pinning a slab shared with every other row.
 func (c *conflictCache) rebuild(g *graph.Graph) {
 	conflicts := make([][]int32, g.ArcIDBound())
 	c.rows.fit(g.N())
@@ -131,13 +162,14 @@ func (c *conflictCache) rebuild(g *graph.Graph) {
 		}
 	}
 	c.conflicts = conflicts
+	c.dropped.Store(false)
 	c.builds.Add(1)
 }
 
 // sync brings the rows up to the graph's current mutation epoch: replay the
-// edge-delta journal when it is contiguous from the cache's epoch (patching
-// only the 2-hop neighborhood of the flipped edges), or rebuild everything
-// when it is not.
+// edge-delta journal when it is contiguous from the cache's epoch (dropping
+// only the rows in the 2-hop neighborhood of the flipped edges), or rebuild
+// everything when it is not.
 func (c *conflictCache) sync(g *graph.Graph) {
 	target := g.MutEpoch()
 	c.mu.Lock()
@@ -162,241 +194,56 @@ func (c *conflictCache) sync(g *graph.Graph) {
 // flip affecting an arc a, either a touches that flip's endpoints directly,
 // or the adjacency that put a in its 2-hop set still holds at the final
 // topology (any later change to it would itself be a later affecting flip).
-// So rewriting every live arc incident to S = E ∪ N(E), where E = ∪ {u_i,v_i}
-// and N is taken at the final topology, covers every stale row.
-//
-// Only the rows of arcs incident to E are rebuilt from scratch. An arc
-// a = (f,t) with f, t ∉ E kept N(f) and N(t), hence its T and H sets (see
-// rowBuilder), so an arc's membership in its row can only have changed if
-// that arc is itself a flipped one: its old row is spliced instead (see
-// splice).
+// So dropping the row of every live arc incident to S = E ∪ N(E), where
+// E = ∪ {u_i,v_i} and N is taken at the final topology, drops every stale
+// row; row rebuilds each against the final topology when it is next read.
 func (c *conflictCache) patch(g *graph.Graph, ds []graph.EdgeDelta) {
-	c.rows.fit(g.N())
-	bound := g.ArcIDBound()
-	if bound > len(c.conflicts) {
+	if bound := g.ArcIDBound(); bound > len(c.conflicts) {
 		grown := make([][]int32, bound)
 		copy(grown, c.conflicts)
 		c.conflicts = grown
 	}
-	p := &c.patcher
-	inE, inS := p.advance(g.N(), bound)
-	p.nodes, p.flips = p.nodes[:0], p.flips[:0]
+	c.inS.Reset(g.N())
+	c.nodes = c.nodes[:0]
 	for _, d := range ds {
-		// Clear first: rows of removed arcs must die, and a freed id
-		// recycled by a later addition in the same batch is rebuilt below
-		// (its endpoints are in E).
+		// Rows of removed arcs must die; a freed id recycled by a later
+		// addition in the same batch is dropped below (its endpoints are
+		// in E).
 		c.conflicts[d.IDUV] = nil
 		c.conflicts[d.IDVU] = nil
-		uv, vu := graph.Arc{From: d.U, To: d.V}, graph.Arc{From: d.V, To: d.U}
-		p.touch(d.IDUV, uv, d.Added)
-		p.touch(d.IDVU, vu, d.Added)
-		p.flips = append(p.flips, flipArc{arc: uv}, flipArc{arc: vu})
 		for _, x := range [2]int{d.U, d.V} {
-			if p.node[x] != inE {
-				p.node[x] = inE
-				p.nodes = append(p.nodes, x)
+			if c.inS.Add(int32(x)) {
+				c.nodes = append(c.nodes, x)
 			}
 		}
 	}
-	for i, ends := 0, len(p.nodes); i < ends; i++ {
-		for _, w := range g.NeighborsView(p.nodes[i]) {
-			if p.node[w] < inE {
-				p.node[w] = inS
-				p.nodes = append(p.nodes, w)
+	for i, ends := 0, len(c.nodes); i < ends; i++ {
+		for _, w := range g.NeighborsView(c.nodes[i]) {
+			if c.inS.Add(int32(w)) {
+				c.nodes = append(c.nodes, w)
 			}
 		}
 	}
-	slices.SortFunc(p.flips, func(x, y flipArc) int { return graph.CompareArcs(x.arc, y.arc) })
-	p.flips = slices.CompactFunc(p.flips, func(x, y flipArc) bool { return x.arc == y.arc })
-	for i := range p.flips {
-		p.flips[i].id = -1
-		if id, ok := g.ArcIndex(p.flips[i].arc); ok {
-			p.flips[i].id = int32(id)
-		}
-	}
-
-	arcOf := g.ArcsByIDView()
-	rewritten := 0
-	for _, v := range p.nodes {
+	dropped := 0
+	for _, v := range c.nodes {
 		ids := g.IncidentArcIDsView(v)
 		for i, a := range g.IncidentArcsView(v) {
-			// An arc with both endpoints in S is rewritten once, from its
+			// An arc with both endpoints in S is dropped once, from its
 			// smaller endpoint.
-			w := a.From + a.To - v
-			if p.node[w] >= inE && w < v {
+			if w := a.From + a.To - v; w < v && c.inS.Has(int32(w)) {
 				continue
 			}
-			id := ids[i]
-			if p.node[a.From] == inE || p.node[a.To] == inE {
-				c.conflicts[id] = c.rows.row(g, a, id)
-			} else {
-				c.conflicts[id] = p.splice(g, a, c.conflicts[id], arcOf)
-			}
-			rewritten++
+			c.conflicts[ids[i]] = nil
+			dropped++
 		}
 	}
+	c.dropped.Store(true)
 	c.patches.Add(1)
-	c.patchedArcs.Add(uint64(rewritten))
-}
-
-// patchScratch is patch's reusable state, used under the cache mutex.
-type patchScratch struct {
-	node  []uint32    // per node: gen-1 while in E, gen while in N(E) \ E
-	gen   uint32      // advances by 2 per patch
-	nearT []uint32    // per node: row while in N(t) of the row being spliced
-	nearH []uint32    // per node: row while in N(f) of the row being spliced
-	row   uint32      // advances by 1 per spliced row
-	nodes []int       // S = E ∪ N(E), E first
-	flips []flipArc   // arcs of the batch's flipped edges, sorted, deduplicated
-	cuts  []spliceCut // splice's scratch
-
-	// Per arc id: gen-1 once the batch first touched the id by an addition
-	// (it was free before the batch), gen once it first touched it by a
-	// removal. A removal-first id named preArc[id] before the batch, and
-	// only such ids of the batch can sit in an old row.
-	idGen  []uint32
-	preArc []graph.Arc
-}
-
-// flipArc is one arc of a flipped edge with its id at the final topology,
-// or -1 when the batch left it out of the graph.
-type flipArc struct {
-	arc graph.Arc
-	id  int32
-}
-
-// advance starts a patch of an n-node graph with ids below bound and
-// returns its E and S stamps.
-func (p *patchScratch) advance(n, bound int) (inE, inS uint32) {
-	if len(p.node) < n {
-		p.node = make([]uint32, n)
-		p.nearT = make([]uint32, n)
-		p.nearH = make([]uint32, n)
-		p.gen, p.row = 0, 0
-		clear(p.idGen)
-	}
-	if len(p.idGen) < bound {
-		p.idGen = slices.Grow(p.idGen, bound-len(p.idGen))[:bound]
-		p.preArc = slices.Grow(p.preArc, bound-len(p.preArc))[:bound]
-	}
-	if p.gen > math.MaxUint32-2 {
-		clear(p.node)
-		clear(p.idGen)
-		p.gen = 0
-	}
-	p.gen += 2
-	return p.gen - 1, p.gen
-}
-
-// touch records the batch's first touch of id, by the addition or removal
-// of arc a.
-func (p *patchScratch) touch(id int32, a graph.Arc, added bool) {
-	if p.idGen[id] >= p.gen-1 {
-		return
-	}
-	if added {
-		p.idGen[id] = p.gen - 1
-		return
-	}
-	p.idGen[id] = p.gen
-	p.preArc[id] = a
-}
-
-// before returns the arc id named before the batch, for an id of an old
-// row. Freed ids are recycled LIFO within a batch, and a stream often
-// removes a link and adds another in one batch, so an old row can hold an
-// id that the id table now gives to a different arc: the stamp of a
-// removal-first id picks its pre-batch arc instead.
-func (p *patchScratch) before(id int32, arcOf []graph.Arc) graph.Arc {
-	if p.idGen[id] == p.gen {
-		return p.preArc[id]
-	}
-	return arcOf[id]
-}
-
-// splice returns the row of a = (f,t) — an arc with no endpoint in E — at
-// the final topology, as an exact-size copy, from its row old before the
-// batch. With f, t ∉ E no flipped arc b shares an endpoint with a, so b
-// conflicts with a iff b.From ∈ N(t) or b.To ∈ N(f), and N(t), N(f) did not
-// change: such a b was in old iff it existed before the batch, and belongs
-// in the new row iff it is live. Every other flipped arc is in neither. One
-// pass locates the conflicting flipped arcs in old — by the arcs old's ids
-// named before the batch — and sizes the row; a second copies the untouched
-// runs of old between them whole, dropping the flipped ids old held and
-// putting in the final ids of the live ones.
-func (p *patchScratch) splice(g *graph.Graph, a graph.Arc, old []int32, arcOf []graph.Arc) []int32 {
-	if p.row == math.MaxUint32 {
-		clear(p.nearT)
-		clear(p.nearH)
-		p.row = 0
-	}
-	p.row++
-	s := p.row
-	for _, x := range g.NeighborsView(a.To) {
-		p.nearT[x] = s
-	}
-	for _, y := range g.NeighborsView(a.From) {
-		p.nearH[y] = s
-	}
-	p.cuts = p.cuts[:0]
-	size, from := len(old), 0
-	for _, b := range p.flips {
-		if p.nearT[b.arc.From] != s && p.nearH[b.arc.To] != s {
-			continue
-		}
-		at, found := p.search(old[from:], b.arc, arcOf)
-		at += from
-		from = at
-		if found {
-			from++
-			size--
-		}
-		if b.id >= 0 {
-			size++
-		}
-		p.cuts = append(p.cuts, spliceCut{id: b.id, at: at, found: found})
-	}
-	row := make([]int32, 0, size)
-	from = 0
-	for _, c := range p.cuts {
-		row = append(row, old[from:c.at]...)
-		from = c.at
-		if c.found {
-			from++
-		}
-		if c.id >= 0 {
-			row = append(row, c.id)
-		}
-	}
-	return append(row, old[from:]...)
-}
-
-// spliceCut is where one conflicting flipped arc meets an old row: its
-// sorted position, whether the row held it, and its id in the new row (-1:
-// not live).
-type spliceCut struct {
-	at    int
-	found bool
-	id    int32
-}
-
-// search returns the position of b in an old row, sorted by the arcs its
-// ids named before the batch, and whether the row holds b.
-func (p *patchScratch) search(row []int32, b graph.Arc, arcOf []graph.Arc) (int, bool) {
-	lo, hi := 0, len(row)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if c := p.before(row[m], arcOf); c.From < b.From || (c.From == b.From && c.To < b.To) {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	return lo, lo < len(row) && p.before(row[lo], arcOf) == b
+	c.patchedArcs.Add(uint64(dropped))
 }
 
 // CacheStatsSnapshot reports the lifetime work of a graph's conflict cache:
-// full row-set builds, incremental patches, and rows rewritten by patches.
+// full row-set builds, incremental patches, and rows dropped by patches.
 type CacheStatsSnapshot struct {
 	Builds      uint64
 	Patches     uint64
@@ -430,7 +277,7 @@ func CacheStats(g *graph.Graph) CacheStatsSnapshot {
 // binary search, no arc comparison.
 //
 // A builder is single-threaded scratch: the conflict cache owns one and
-// uses it under its mutex; the hypothetical-arc path of ConflictingArcs
+// uses it under its mutex, for full builds and dropped rows; the hypothetical-arc path of ConflictingArcs
 // borrows one from builderPool.
 type rowBuilder struct {
 	tail  []uint32 // per node: gen-1 once collected into T, gen once collected from N(H)
@@ -530,7 +377,7 @@ func (rb *rowBuilder) row(g *graph.Graph, a graph.Arc, self int32) []int32 {
 // hypothetical links).
 func conflictIDs(g *graph.Graph, a graph.Arc) []int32 {
 	if i, ok := g.ArcIndex(a); ok {
-		return cacheOf(g).conflicts[i]
+		return cacheOf(g).row(int32(i))
 	}
 	rb := builderPool.Get().(*rowBuilder)
 	rb.fit(g.N())
@@ -830,7 +677,7 @@ func (c *conflictCache) lowestFree(bufp *[]bool) int {
 func smallestFeasible(g *graph.Graph, cc *conflictCache, arcOf []graph.Arc, know SlotTable, a graph.Arc) int {
 	var row []int32
 	if id, ok := g.ArcIndex(a); ok {
-		row = cc.conflicts[id]
+		row = cc.row(int32(id))
 	} else {
 		row = conflictIDs(g, a)
 	}
@@ -847,7 +694,7 @@ func smallestFeasible(g *graph.Graph, cc *conflictCache, arcOf []graph.Arc, know
 // smallestFree is smallestFeasible on a dense slot store: the smallest
 // color >= 1 no arc of id's conflict row holds in slots.
 func (c *conflictCache) smallestFree(slots []int32, id int32) int32 {
-	row := c.conflicts[id]
+	row := c.row(id)
 	bufp := c.occupancy(len(row))
 	used := *bufp
 	for _, b := range row {
@@ -966,7 +813,7 @@ func ConflictGraph(g *graph.Graph) (*graph.Graph, []graph.Arc) {
 	cg := graph.New(len(arcs))
 	for i, a := range arcs {
 		id, _ := g.ArcIndex(a)
-		for _, b := range cc.conflicts[id] {
+		for _, b := range cc.row(int32(id)) {
 			if j := pos[b]; i < j {
 				cg.AddEdge(i, j)
 			}

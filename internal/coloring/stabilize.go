@@ -116,7 +116,7 @@ func Stabilize(g *graph.Graph, slots []int32, dirty []int32) (rounds int, minUsa
 // actsThisRound implements the local priority rule: a acts iff no smaller
 // dirty arc conflicts with it.
 func actsThisRound(cc *conflictCache, arcOf []graph.Arc, a int32, dirty *IDSet) bool {
-	for _, b := range cc.conflicts[a] {
+	for _, b := range cc.row(a) {
 		if dirty.Has(b) && graph.CompareArcs(arcOf[b], arcOf[a]) < 0 {
 			return false
 		}
@@ -160,7 +160,7 @@ func newUsableTracker(cc *conflictCache, slots []int32, unusable *IDSet, total i
 func (t *usableTracker) moved(a int32, old int32) {
 	t.recheck(a)
 	cur := t.slots[a]
-	for _, b := range t.cc.conflicts[a] {
+	for _, b := range t.cc.row(a) {
 		if c := t.slots[b]; c != None && (c == old || c == cur) {
 			t.recheck(b)
 		}

@@ -15,9 +15,10 @@ import (
 // This file is the patch-vs-rebuild conformance oracle for the incremental
 // distance-2 conflict cache: the same rescheduling session is driven twice
 // over an arbitrary event stream — once with topology-cache patching on (the
-// default: mutations rewrite only the 2-hop neighborhood of the flipped
-// edges) and once with patching disabled (every mutation discards the cache
-// and the next read rebuilds every conflict row from scratch). The two
+// default: mutations drop only the conflict rows in the 2-hop neighborhood
+// of the flipped edges, each rebuilt when next read) and once with patching
+// disabled (every mutation discards the cache and the next read rebuilds
+// every conflict row from scratch). The two
 // sessions must be indistinguishable after every batch: identical reports,
 // identical schedules and frame lengths, identical topologies, and
 // byte-identical conflict rows for every live arc. Any divergence is a bug

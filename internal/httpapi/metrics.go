@@ -74,7 +74,7 @@ func newService(reg *obs.Registry) *service {
 		sessionCachePatch: reg.CounterVec("fdlsp_session_cache_patches_total",
 			"Incremental conflict-cache patches applied, by session.", "session"),
 		sessionCacheArcs: reg.CounterVec("fdlsp_session_cache_patched_arcs_total",
-			"Conflict rows rewritten by cache patches, by session.", "session"),
+			"Conflict rows dropped by cache patches, by session.", "session"),
 		sessionCacheBuilds: reg.CounterVec("fdlsp_session_cache_rebuilds_total",
 			"Full conflict-cache rebuilds paid by update batches, by session.", "session"),
 		sessionRounds: reg.Histogram("fdlsp_session_repair_rounds",

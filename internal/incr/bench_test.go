@@ -10,14 +10,13 @@ import (
 	"fdlsp/internal/graph"
 )
 
-// BenchmarkApplySingleFlip is the local proxy for the benchkit incr rows:
-// one drop-and-readd batch on a live session, the steady-state op of the
-// rescheduling service.
-func BenchmarkApplySingleFlip(b *testing.B) {
+// singleFlipSession returns a live session on G(256, 768) and a batch that
+// drops and re-adds one of its links, applied once so the session is warm.
+func singleFlipSession(tb testing.TB) (*Updater, []dynamic.Event) {
 	g := graph.ConnectedGNM(256, 768, rand.New(rand.NewSource(1)))
 	up, err := New(g, coloring.Greedy(g, nil))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	e := g.Edges()[0]
 	batch := []dynamic.Event{
@@ -25,8 +24,32 @@ func BenchmarkApplySingleFlip(b *testing.B) {
 		{Kind: dynamic.LinkUp, U: e.U, V: e.V},
 	}
 	if _, err := up.Apply(batch); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return up, batch
+}
+
+// TestApplySingleFlipAllocs pins the steady-state update's allocations: the
+// conflict-cache patch drops the rows around the flip instead of rewriting
+// them, so an update allocates for the few rows it reads, not for every row
+// within two hops of the flip.
+func TestApplySingleFlipAllocs(t *testing.T) {
+	up, batch := singleFlipSession(t)
+	avg := testing.AllocsPerRun(50, func() {
+		if _, err := up.Apply(batch); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg > 100 {
+		t.Errorf("a drop-and-readd update allocates %.0f, want at most 100", avg)
+	}
+}
+
+// BenchmarkApplySingleFlip is the local proxy for the benchkit incr rows:
+// one drop-and-readd batch on a live session, the steady-state op of the
+// rescheduling service.
+func BenchmarkApplySingleFlip(b *testing.B) {
+	up, batch := singleFlipSession(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -69,9 +69,9 @@ type Report struct {
 	// FrameLength is the TDMA frame length after the batch.
 	FrameLength int
 	// CachePatches and CachePatchedArcs count the incremental distance-2
-	// conflict-cache syncs this batch cost and the rows they rewrote;
-	// CacheRebuilds counts full rebuilds (0 on the steady-state patch
-	// path). The session layer exports them per session.
+	// conflict-cache syncs this batch cost and the rows they dropped (each
+	// rebuilt when next read); CacheRebuilds counts full rebuilds (0 on the
+	// steady-state patch path). The session layer exports them per session.
 	CachePatches     uint64
 	CachePatchedArcs uint64
 	CacheRebuilds    uint64
