@@ -1,6 +1,7 @@
 package coloring
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -65,5 +66,42 @@ func TestGreedyAllocsBounded(t *testing.T) {
 	// cost several allocations per arc.
 	if avg > 2*arcs {
 		t.Errorf("Greedy allocates %.0f for %d arcs — conflict caching regressed", avg, 2*g.M())
+	}
+}
+
+// TestConflictCacheBuildAllocs pins a full build on a warm builder to one
+// allocation per live arc (its row) plus the outer table: the shared tail
+// list, the stamps and the bitmap are the builder's reused scratch.
+func TestConflictCacheBuildAllocs(t *testing.T) {
+	g := graph.ConnectedGNM(256, 768, rand.New(rand.NewSource(3)))
+	c := cacheOf(g)
+	// AllocsPerRun rounds down, so enough runs absorb the rare allocation
+	// made outside the build while it runs (about one 5-run average in
+	// twenty read one too many).
+	avg := testing.AllocsPerRun(50, func() {
+		c.mu.Lock()
+		c.rebuild(g)
+		c.mu.Unlock()
+	})
+	if want := float64(2*g.M() + 1); avg != want {
+		t.Errorf("a full build allocates %.0f, want %.0f (one row per arc and the table)", avg, want)
+	}
+}
+
+// BenchmarkConflictCacheBuild times a full conflict-cache build on G(n, 3n)
+// with a warm builder: every row of the graph, built node by node.
+func BenchmarkConflictCacheBuild(b *testing.B) {
+	for _, n := range []int{1024, 4096} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			g := graph.ConnectedGNM(n, 3*n, rand.New(rand.NewSource(int64(n))))
+			c := cacheOf(g)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.mu.Lock()
+				c.rebuild(g)
+				c.mu.Unlock()
+			}
+		})
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -155,11 +156,9 @@ func (c *conflictCache) rowLocked(id int32) []int32 {
 func (c *conflictCache) rebuild(g *graph.Graph) {
 	conflicts := make([][]int32, g.ArcIDBound())
 	c.rows.fit(g.N())
-	for v := 0; v < g.N(); v++ {
-		ids := g.OutArcIDsView(v)
-		for i, a := range g.OutArcsView(v) {
-			conflicts[ids[i]] = c.rows.row(g, a, ids[i])
-		}
+	nbrs, ids := g.OutRowsView()
+	for f := range nbrs {
+		c.rows.buildNode(nbrs, ids, f, conflicts)
 	}
 	c.conflicts = conflicts
 	c.dropped.Store(false)
@@ -263,58 +262,76 @@ func CacheStats(g *graph.Graph) CacheStatsSnapshot {
 }
 
 // rowBuilder computes conflict rows in (From, To) order without sorting
-// arcs. By Conflict, the row of a = (f,t) is every arc (x,y) ≠ a with
+// anything. By Conflict, the row of a = (f,t) is every arc (x,y) ≠ a with
 //
 //	x ∈ T = {f,t} ∪ N(t)   (shares an endpoint, or x is heard at t), or
 //	y ∈ H = {f,t} ∪ N(f)   (shares an endpoint, or f is heard at y).
 //
 // Every such arc has its tail in T ∪ N(H), so the builder collects those
-// tails once — deduplicated with generation stamps, then sorted as ints —
-// and walks each tail's out-row, which the topology cache keeps sorted by
-// head: whole for a tail in T, filtered by "head ∈ H" otherwise. Tails in
-// increasing order with heads increasing within each tail is exactly the
-// (From, To) order. Membership is one stamp read per arc: no map, no
-// binary search, no arc comparison.
+// tails once — deduplicated with generation stamps and marked in a bitmap
+// over node ids, which hands them back in increasing order — and walks each
+// tail's out-row, which the topology cache keeps sorted by head: whole for
+// a tail in T, filtered by "head ∈ H" otherwise. Tails in increasing order
+// with heads increasing within each tail is exactly the (From, To) order.
+// Membership is one stamp read per arc: no map, no binary search, no arc
+// comparison.
+//
+// For a live arc, t ∈ N(f), so T = N[t], H = N[f] and T ∪ N(H) = B₂[f], the
+// closed 2-hop ball of f: all of f's out-rows share H and the tail list.
+// A full build (buildNode) collects them once per node and stamps only
+// N[t] per out-arc; a dropped row or a hypothetical arc of ConflictingArcs
+// (t ∉ N(f)) takes the general sets (appendRow). Both emit through emit.
 //
 // A builder is single-threaded scratch: the conflict cache owns one and
-// uses it under its mutex, for full builds and dropped rows; the hypothetical-arc path of ConflictingArcs
-// borrows one from builderPool.
+// uses it under its mutex, for full builds and dropped rows; the
+// hypothetical-arc path of ConflictingArcs borrows one from builderPool.
 type rowBuilder struct {
-	tail  []uint32 // per node: gen-1 once collected into T, gen once collected from N(H)
-	head  []uint32 // per node: gen-1 while in H
-	gen   uint32   // stamp of the row being built; advances by 2 per row
-	tails []int
+	tail  []uint32 // per node: stamp of the tail set that collected it, or of T
+	head  []uint32 // per node: stamp of H
+	gen   uint32   // last stamp handed out
+	set   nodeBits // tails collected and not yet drained
+	tails []int    // drained tails, ascending
 	buf   []int32
 }
 
 var builderPool = sync.Pool{New: func() any { return new(rowBuilder) }}
 
-// fit sizes the stamp arrays for an n-node graph.
+// fit sizes the stamp arrays and the tail bitmap for an n-node graph.
 func (rb *rowBuilder) fit(n int) {
 	if len(rb.tail) < n {
 		rb.tail = make([]uint32, n)
 		rb.head = make([]uint32, n)
 		rb.gen = 0
 	}
+	rb.set.fit(n)
 }
 
-// appendRow appends the ids of the sorted conflict row of a, whose own id
-// is self (-1 for an arc outside g), to dst. The cost is one visit per
-// neighbor of each node in {f} ∪ N(f) (collecting N(H)), one per out-arc of
-// each collected tail (emission), and an int sort of the tails —
-// O(Σ_{y∈H} deg y + Σ_{x∈T∪N(H)} deg x + |tails|·log|tails|).
-func (rb *rowBuilder) appendRow(g *graph.Graph, a graph.Arc, self int32, dst []int32) []int32 {
-	if rb.gen > math.MaxUint32-2 {
+// stamps reserves k fresh consecutive stamps and returns the first. When
+// that would wrap, both stamp arrays are cleared first, so a stale stamp
+// never equals a fresh one.
+func (rb *rowBuilder) stamps(k uint32) uint32 {
+	if rb.gen > math.MaxUint32-k {
 		clear(rb.tail)
 		clear(rb.head)
 		rb.gen = 0
 	}
-	rb.gen += 2
-	inT, inN := rb.gen-1, rb.gen
-	f, t := a.From, a.To
-	nf, nt := g.NeighborsView(f), g.NeighborsView(t)
+	first := rb.gen + 1
+	rb.gen += k
+	return first
+}
 
-	rb.tails = rb.tails[:0]
+// appendRow appends the ids of the conflict row of a, whose own id is self
+// (-1 for an arc outside g), to dst. The cost is one visit per neighbor of
+// each node in {f} ∪ N(f) (collecting N(H)), one per out-arc of each
+// collected tail (emission), and the bitmap walk —
+// O(Σ_{y∈H} deg y + Σ_{x∈T∪N(H)} deg x + n/4096).
+func (rb *rowBuilder) appendRow(g *graph.Graph, a graph.Arc, self int32, dst []int32) []int32 {
+	inT := rb.stamps(2)
+	inN := inT + 1
+	nbrs, ids := g.OutRowsView()
+	f, t := a.From, a.To
+	nf, nt := nbrs[f], nbrs[t]
+
 	rb.collect(inT, inT, f)
 	rb.collect(inT, inT, t)
 	rb.collect(inT, inT, nt...)
@@ -326,50 +343,129 @@ func (rb *rowBuilder) appendRow(g *graph.Graph, a graph.Arc, self int32, dst []i
 	rb.collect(inT, inN, nf...)
 	for _, y := range nf {
 		if y != t {
-			rb.collect(inT, inN, g.NeighborsView(y)...)
+			rb.collect(inT, inN, nbrs[y]...)
 		}
 	}
-	slices.Sort(rb.tails)
+	rb.tails = rb.set.drain(rb.tails[:0])
+	return rb.emit(nbrs, ids, inT, inT, self, dst)
+}
 
+// buildNode stores the row of every out-arc of f in conflicts, by id. The
+// tails B₂[f] are collected and drained once; per out-arc (f,t) only N[t]
+// is stamped before emission. f's stamps are inH (H and the ball) and
+// inH+1+i (T of its i-th out-arc).
+func (rb *rowBuilder) buildNode(nbrs [][]int, ids [][]int32, f int, conflicts [][]int32) {
+	nf := nbrs[f]
+	if len(nf) == 0 {
+		return
+	}
+	inH := rb.stamps(uint32(1 + len(nf)))
+	rb.head[f] = inH
+	for _, y := range nf {
+		rb.head[y] = inH
+	}
+	rb.collect(inH, inH, nf...)
+	for _, y := range nf {
+		rb.collect(inH, inH, nbrs[y]...)
+	}
+	rb.tails = rb.set.drain(rb.tails[:0])
+	for i, t := range nf {
+		inT := inH + 1 + uint32(i)
+		rb.tail[t] = inT
+		for _, x := range nbrs[t] {
+			rb.tail[x] = inT
+		}
+		self := ids[f][i]
+		rb.buf = rb.emit(nbrs, ids, inT, inH, self, rb.buf[:0])
+		conflicts[self] = exactCopy(rb.buf)
+	}
+}
+
+// collect stamps each not-yet-collected node of xs with s and marks it as a
+// tail of the row set whose first stamp is inT.
+func (rb *rowBuilder) collect(inT, s uint32, xs ...int) {
+	for _, x := range xs {
+		if rb.tail[x] < inT {
+			rb.tail[x] = s
+			rb.set.add(x)
+		}
+	}
+}
+
+// emit appends, for each drained tail x in order, the ids of x's out-arcs
+// to dst: all of them but self when x is stamped inT, else those whose head
+// is stamped inH.
+func (rb *rowBuilder) emit(nbrs [][]int, ids [][]int32, inT, inH uint32, self int32, dst []int32) []int32 {
 	for _, x := range rb.tails {
-		ids := g.OutArcIDsView(x)
+		xids := ids[x]
 		if rb.tail[x] == inT {
-			for _, b := range ids {
+			for _, b := range xids {
 				if b != self {
 					dst = append(dst, b)
 				}
 			}
 			continue
 		}
-		for i, y := range g.NeighborsView(x) {
-			if rb.head[y] == inT {
-				dst = append(dst, ids[i])
+		for i, y := range nbrs[x] {
+			if rb.head[y] == inH {
+				dst = append(dst, xids[i])
 			}
 		}
 	}
 	return dst
 }
 
-// collect stamps each not-yet-collected node of xs with s and records it as
-// a tail of the row whose first stamp is inT.
-func (rb *rowBuilder) collect(inT, s uint32, xs ...int) {
-	for _, x := range xs {
-		if rb.tail[x] < inT {
-			rb.tail[x] = s
-			rb.tails = append(rb.tails, x)
-		}
-	}
-}
-
 // row returns a's conflict row as an exact-size copy (nil when empty).
 func (rb *rowBuilder) row(g *graph.Graph, a graph.Arc, self int32) []int32 {
 	rb.buf = rb.appendRow(g, a, self, rb.buf[:0])
-	if len(rb.buf) == 0 {
+	return exactCopy(rb.buf)
+}
+
+// exactCopy returns a copy of row with no spare capacity (nil when empty).
+func exactCopy(row []int32) []int32 {
+	if len(row) == 0 {
 		return nil
 	}
-	row := make([]int32, len(rb.buf))
-	copy(row, rb.buf)
-	return row
+	out := make([]int32, len(row))
+	copy(out, row)
+	return out
+}
+
+// nodeBits is a set of node ids kept as a two-level bitmap: one bit per
+// node in words, and one bit per word of words in sum, set while that word
+// is nonzero. drain walks sum and then only the marked words, so listing a
+// set costs O(n/4096 + |set|) however large the graph.
+type nodeBits struct {
+	words []uint64
+	sum   []uint64
+}
+
+// fit sizes the bitmap for node ids below n. The set must be empty.
+func (s *nodeBits) fit(n int) {
+	if w := (n + 63) >> 6; len(s.words) < w {
+		s.words = make([]uint64, w)
+		s.sum = make([]uint64, (w+63)>>6)
+	}
+}
+
+func (s *nodeBits) add(x int) {
+	s.words[x>>6] |= 1 << (x & 63)
+	s.sum[x>>12] |= 1 << ((x >> 6) & 63)
+}
+
+// drain appends the set's nodes to dst in increasing order and empties it.
+func (s *nodeBits) drain(dst []int) []int {
+	for i, sw := range s.sum {
+		for ; sw != 0; sw &= sw - 1 {
+			j := i<<6 | bits.TrailingZeros64(sw)
+			for w := s.words[j]; w != 0; w &= w - 1 {
+				dst = append(dst, j<<6|bits.TrailingZeros64(w))
+			}
+			s.words[j] = 0
+		}
+		s.sum[i] = 0
+	}
+	return dst
 }
 
 // conflictIDs returns the id row of a: the cached row when a is an arc of

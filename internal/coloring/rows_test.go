@@ -1,6 +1,7 @@
 package coloring
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -49,25 +50,28 @@ func bruteRow(g *graph.Graph, a graph.Arc) []graph.Arc {
 // pair, probed as a hypothetical arc.
 func checkRows(t *testing.T, g *graph.Graph, label string) {
 	t.Helper()
-	check := func(a graph.Arc) {
-		got := ConflictingArcs(g, a)
-		if want := bruteRow(g, a); !slices.Equal(got, want) {
-			t.Fatalf("%s: row of %v\n got: %v\nbrute: %v", label, a, got, want)
-		}
-		if want := referenceRow(g, a); !slices.Equal(got, want) {
-			t.Fatalf("%s: row of %v\n got: %v\n  ref: %v", label, a, got, want)
-		}
-	}
 	for _, a := range g.ArcsView() {
-		check(a)
+		checkRow(t, g, a, label)
 	}
 	for u := 0; u < g.N(); u++ {
 		for v := u + 1; v < g.N(); v++ {
 			if !g.HasEdge(u, v) {
-				check(graph.Arc{From: u, To: v})
-				check(graph.Arc{From: v, To: u})
+				checkRow(t, g, graph.Arc{From: u, To: v}, label)
+				checkRow(t, g, graph.Arc{From: v, To: u}, label)
 			}
 		}
+	}
+}
+
+// checkRow compares ConflictingArcs(g, a) against bruteRow and referenceRow.
+func checkRow(t *testing.T, g *graph.Graph, a graph.Arc, label string) {
+	t.Helper()
+	got := ConflictingArcs(g, a)
+	if want := bruteRow(g, a); !slices.Equal(got, want) {
+		t.Fatalf("%s: row of %v\n got: %v\nbrute: %v", label, a, got, want)
+	}
+	if want := referenceRow(g, a); !slices.Equal(got, want) {
+		t.Fatalf("%s: row of %v\n got: %v\n  ref: %v", label, a, got, want)
 	}
 }
 
@@ -109,5 +113,93 @@ func TestConflictRowsMatchBruteForce(t *testing.T) {
 	}
 	if recycled == 0 {
 		t.Fatal("mutation stream never recycled an arc id")
+	}
+}
+
+// TestConflictRowsPastOneBitmapWord runs the row oracle on a sparse graph of
+// 4160 nodes, whose tail bitmap spans 65 words and two summary words: edges
+// join nodes on both sides of the word boundary 63/64 and of the summary
+// boundary 4095/4096, and reach the last node 4159. Rows are checked from a
+// full build, from dropped rows rebuilt after a flip, and for hypothetical
+// arcs across those boundaries and from an isolated node.
+func TestConflictRowsPastOneBitmapWord(t *testing.T) {
+	const n = 4160
+	hubs := []int{0, 1, 62, 63, 64, 65, 127, 128, 4031, 4032, 4094, 4095, 4096, 4097, 4158, 4159}
+	const isolated = 2000
+	g := graph.New(n)
+	for _, e := range [][2]int{{63, 64}, {64, 4095}, {4095, 4096}, {4096, 4159}, {4159, 0}, {63, 4032}, {127, 128}, {128, 4097}} {
+		g.AddEdge(e[0], e[1])
+	}
+	rng := rand.New(rand.NewSource(41))
+	for k := 0; k < 16; k++ {
+		u, v := hubs[rng.Intn(len(hubs))], hubs[rng.Intn(len(hubs))]
+		if u != v {
+			g.AddEdge(u, v)
+		}
+	}
+	probes := append(slices.Clone(hubs), isolated)
+	check := func(label string) {
+		t.Helper()
+		for _, a := range g.ArcsView() {
+			checkRow(t, g, a, label)
+		}
+		for _, u := range probes {
+			for _, v := range probes {
+				if u != v && !g.HasEdge(u, v) {
+					checkRow(t, g, graph.Arc{From: u, To: v}, label+" hypothetical")
+				}
+			}
+		}
+	}
+	check("full build")
+	g.RemoveEdge(64, 4095)
+	g.AddEdge(63, 4096)
+	g.AddEdge(4159, 4097)
+	check("dropped rows")
+	if st := CacheStats(g); st.Builds != 1 || st.Patches != 1 || st.PatchedArcs == 0 {
+		t.Fatalf("flips did not take the patch path: %+v", st)
+	}
+}
+
+// TestConflictBuilderStampWrap pins the builder's stamp reset: with the
+// cache builder's stamp counter moved just below the uint32 wrap (at every
+// offset a node's stamps can straddle), a full build and, separately,
+// dropped-row rebuilds still produce exactly a fresh cache's rows.
+func TestConflictBuilderStampWrap(t *testing.T) {
+	g := graph.ConnectedGNM(60, 240, rand.New(rand.NewSource(5)))
+	c := cacheOf(g)
+	span := uint32(2 + 2*g.MaxDegree())
+	same := func(label string, gen uint32) {
+		t.Helper()
+		fresh := newConflictCache(g)
+		for _, a := range g.ArcsView() {
+			id, _ := g.ArcIndex(a)
+			if got, want := c.row(int32(id)), fresh.conflicts[id]; !slices.Equal(got, want) {
+				t.Fatalf("%s from gen %d: row of %v\n got: %v\nfresh: %v", label, gen, a, got, want)
+			}
+		}
+	}
+	for k := uint32(0); k <= span; k++ {
+		gen := math.MaxUint32 - k
+		c.mu.Lock()
+		c.rows.gen = gen
+		c.rebuild(g)
+		c.mu.Unlock()
+		same("full build", gen)
+	}
+	edges := g.Edges()
+	for k := uint32(0); k <= span; k++ {
+		e := edges[int(k)%len(edges)]
+		g.RemoveEdge(e.U, e.V)
+		g.AddEdge(e.U, e.V)
+		c = cacheOf(g) // syncs the patch: the flipped rows are dropped
+		gen := math.MaxUint32 - k
+		c.mu.Lock()
+		c.rows.gen = gen
+		c.mu.Unlock()
+		same("dropped rows", gen)
+	}
+	if st := CacheStats(g); st.Patches == 0 {
+		t.Fatalf("flips did not take the patch path: %+v", st)
 	}
 }

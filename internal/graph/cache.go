@@ -509,6 +509,17 @@ func (g *Graph) OutArcIDsView(v int) []int32 {
 	return g.topo().outIDs[v]
 }
 
+// OutRowsView returns two tables of one topology snapshot: nbrs[v] is
+// NeighborsView(v) and ids[v] is OutArcIDsView(v), entry for entry, so
+// ids[v][i] is the id of arc (v, nbrs[v][i]). Loops that visit many nodes
+// read the tables once instead of calling the per-node views, which check
+// their node and load the snapshot on every call; indexing them with a node
+// out of range panics. Both tables and their rows are shared and read-only.
+func (g *Graph) OutRowsView() (nbrs [][]int, ids [][]int32) {
+	c := g.topo()
+	return c.nbrs, c.outIDs
+}
+
 // IncidentArcIDsView returns the stable ids of IncidentArcsView(v), entry
 // for entry, as a shared, read-only slice.
 func (g *Graph) IncidentArcIDsView(v int) []int32 {

@@ -3,6 +3,7 @@ package graph
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -81,12 +82,17 @@ func TestPatchedViewsMatchRebuild(t *testing.T) {
 				t.Fatalf("step %d: id table names %v for %v's id %d", step, got, a, id)
 			}
 		}
-		// The id views match the arc views entry for entry.
+		// The id views match the arc views entry for entry, and the
+		// tables of OutRowsView are the per-node views.
+		nbrs, outIDs := g.OutRowsView()
 		for x := 0; x < n; x++ {
 			for i, a := range g.OutArcsView(x) {
 				if id, _ := g.ArcIndex(a); g.OutArcIDsView(x)[i] != int32(id) {
 					t.Fatalf("step %d: out id view of %d disagrees at %v", step, x, a)
 				}
+			}
+			if !slices.Equal(nbrs[x], g.NeighborsView(x)) || !slices.Equal(outIDs[x], g.OutArcIDsView(x)) {
+				t.Fatalf("step %d: OutRowsView row of %d differs from the per-node views", step, x)
 			}
 			for i, a := range g.IncidentArcsView(x) {
 				if id, _ := g.ArcIndex(a); g.IncidentArcIDsView(x)[i] != int32(id) {
